@@ -96,11 +96,10 @@ impl fmt::Display for ReadHistory {
 /// The evidence behind a race warning: which Figure 5 rule fired, the
 /// conflicting epochs, and the analysis state at the moment of detection.
 ///
-/// Every FastTrack engine — the sequential fused loop, the streamed `.ftb`
-/// path, and the block-parallel engine — populates this identically
-/// (the parallel ≡ sequential agreement tests compare warnings wholesale,
-/// provenance included). Downstream lockset/baseline detectors, which have
-/// no epoch evidence, leave [`Warning::provenance`] as `None`.
+/// FastTrack's fused whole-trace loop and its streamed `.ftb` path populate
+/// this identically (the `stream_agreement` tests compare warnings
+/// wholesale, provenance included). Downstream lockset/baseline detectors,
+/// which have no epoch evidence, leave [`Warning::provenance`] as `None`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Provenance {
     /// The exact Figure 5 rule that detected the race, matching the labels

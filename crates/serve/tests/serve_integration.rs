@@ -217,6 +217,46 @@ fn corrupt_upload_aborts_the_session_and_frees_its_share() {
     daemon.join();
 }
 
+/// A 44-byte upload whose one barrier record claims `u32::MAX` members
+/// gets an ERROR reply instead of aborting the daemon on a huge
+/// allocation, and the next session is served as usual.
+#[test]
+fn hostile_barrier_count_gets_an_error_reply() {
+    let daemon = start_daemon(ServeConfig::default());
+    let addr = daemon.addr().to_string();
+
+    let mut hostile = FtbWriter::new(Vec::new(), 1, 0, 0)
+        .expect("header")
+        .finish()
+        .expect("flush");
+    hostile.extend_from_slice(&[ft_trace::batch::opcode::BARRIER, 0, 0, 0]);
+    hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+    hostile.extend_from_slice(&[0; 4]);
+    assert_eq!(hostile.len(), 44);
+
+    let mut bad = Client::connect(&addr).unwrap();
+    bad.open("tenant-hostile").unwrap();
+    let err = bad
+        .send_chunk(&hostile)
+        .and_then(|_| bad.close_session())
+        .unwrap_err();
+    assert!(err.contains("server error"), "{err}");
+
+    let trace = racy_trace(400, 53);
+    let report = upload(&addr, "tenant-next", &ftb_bytes(&trace), 512).unwrap();
+    assert_eq!(report.events, trace.len() as u64);
+    let mut ft = FastTrack::new();
+    ft.run(&trace);
+    assert_eq!(report.warnings, ft.warnings().len() as u64);
+    assert_eq!(
+        daemon.registry().snapshot().counter("sessions_aborted"),
+        Some(1)
+    );
+
+    daemon.stop();
+    daemon.join();
+}
+
 /// A client that vanishes mid-upload (EOF with a session open) is cleaned
 /// up: no leaked live session, abort counted.
 #[test]

@@ -53,8 +53,7 @@ pub mod opcode {
     /// Never appears in an [`EventBlock`](super::EventBlock).
     pub const BARRIER_CONT: u8 = 13;
 
-    /// Returns `true` for data accesses (`rd`/`wr`) — the events a
-    /// block-parallel coordinator routes to variable shards. Mirrors
+    /// Returns `true` for data accesses (`rd`/`wr`). Mirrors
     /// [`Op::is_access`](crate::Op::is_access) on the raw kind byte.
     #[inline]
     pub fn is_access(kind: u8) -> bool {

@@ -345,8 +345,10 @@ impl<R: Read> FtbReader<R> {
         let arg = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"));
         match kind {
             opcode::BARRIER => {
+                // `count` is untrusted: the list grows with the
+                // continuation records that actually arrive.
                 let count = arg as usize;
-                let mut members = Vec::with_capacity(count);
+                let mut members = Vec::new();
                 while members.len() < count {
                     let Some(cont) = self.read_record()? else {
                         return Err(format_err("barrier truncated mid-member-list"));
@@ -603,6 +605,20 @@ mod tests {
         assert_eq!(back.object_of(VarId::new(0)), ObjId::new(9));
         assert_eq!(back.object_of(VarId::new(2)), ObjId::new(9));
         assert_eq!(back.object_of(VarId::new(1)), ObjId::new(1));
+    }
+
+    #[test]
+    fn hostile_barrier_count_is_an_error_not_an_allocation() {
+        let mut bytes = FtbWriter::new(Vec::new(), 1, 0, 0)
+            .unwrap()
+            .finish()
+            .unwrap();
+        bytes.extend_from_slice(&[opcode::BARRIER, 0, 0, 0]);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 4]);
+        assert_eq!(bytes.len(), FTB_HEADER_BYTES + FTB_RECORD_BYTES);
+        let mut reader = FtbReader::new(bytes.as_slice()).unwrap();
+        assert!(matches!(reader.next_op(), Err(FtbError::Format(_))));
     }
 
     #[test]

@@ -259,7 +259,9 @@ impl FtbDecoder {
                                 self.events += 1;
                                 return Ok(Some(Op::BarrierRelease(Vec::new())));
                             }
-                            self.barrier = Some((Vec::with_capacity(count), count));
+                            // `count` is untrusted: the list grows with
+                            // the continuation records that actually arrive.
+                            self.barrier = Some((Vec::new(), count));
                             continue;
                         }
                         opcode::BARRIER_CONT => {
@@ -408,6 +410,21 @@ mod tests {
         bad[first_record] = 200;
         dec.push(&bad);
         assert!(dec.next_op().is_err());
+    }
+
+    #[test]
+    fn hostile_barrier_count_is_an_error_not_an_allocation() {
+        let mut bytes = FtbWriter::new(Vec::new(), 1, 0, 0)
+            .unwrap()
+            .finish()
+            .unwrap();
+        bytes.extend_from_slice(&[opcode::BARRIER, 0, 0, 0]);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 4]);
+        let mut dec = FtbDecoder::new();
+        dec.push(&bytes);
+        assert!(matches!(dec.next_op(), Ok(None)));
+        assert!(matches!(dec.finish(), Err(FtbError::Format(_))));
     }
 
     #[test]

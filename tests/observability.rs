@@ -9,6 +9,7 @@ use fasttrack_suite::runtime::online::Monitor;
 use fasttrack_suite::runtime::{run_pipeline, Pipeline};
 use fasttrack_suite::trace::gen::{self, GenConfig};
 use fasttrack_suite::trace::json as ftjson;
+use fasttrack_suite::trace::HbOracle;
 
 #[test]
 fn pipeline_over_race_free_trace_suppresses_and_is_monotone() {
@@ -271,4 +272,72 @@ fn tier_counters_partition_the_accesses() {
     let prom = fasttrack_suite::obs::to_prometheus(&snap, "ftrace");
     assert!(prom.contains("# TYPE ftrace_tier_same_epoch_hits counter"));
     assert!(prom.contains(&format!("ftrace_tier_same_epoch_hits {}", tiers.same_epoch)));
+}
+
+/// Seeded provenance property: every warning FastTrack emits must carry a
+/// populated provenance whose rule is a label the rule breakdown actually
+/// counted (hits > 0), whose conflicting epoch is a real epoch (not the
+/// initial sentinel), whose epoch belongs to the reporting thread, and
+/// whose thread clock holds that thread's own entry at the epoch's clock
+/// value. The warned variables must also be exactly the oracle's racy ones.
+#[test]
+fn every_warning_carries_matching_provenance() {
+    let cfg = GenConfig {
+        ops: 700,
+        ..GenConfig::default().with_races(0.12)
+    };
+    let mut warnings_seen = 0usize;
+    for seed in 0..120u64 {
+        let trace = gen::generate(&cfg, seed);
+        let mut ft = FastTrack::new();
+        ft.run(&trace);
+        let mut warned: Vec<_> = ft.warnings().iter().map(|w| w.var).collect();
+        warned.sort_unstable();
+        warned.dedup();
+        assert_eq!(
+            warned,
+            HbOracle::analyze(&trace).race_vars(),
+            "seed {seed}: warned variables differ from the oracle's"
+        );
+        let breakdown = ft.rule_breakdown();
+        for w in ft.warnings() {
+            warnings_seen += 1;
+            let p = w
+                .provenance
+                .as_ref()
+                .unwrap_or_else(|| panic!("seed {seed}: warning without provenance: {w}"));
+            let counted = breakdown
+                .iter()
+                .find(|r| r.rule == p.rule)
+                .unwrap_or_else(|| panic!("seed {seed}: rule {:?} not in breakdown", p.rule));
+            assert!(
+                counted.hits > 0,
+                "seed {seed}: rule {:?} reported a race but counted no hits",
+                p.rule
+            );
+            assert!(
+                !p.conflict.is_initial(),
+                "seed {seed}: conflict epoch is the initial sentinel: {p}"
+            );
+            assert_eq!(
+                p.current_epoch.tid(),
+                w.current.tid,
+                "seed {seed}: provenance epoch thread != reporting thread"
+            );
+            let own = p
+                .thread_clock
+                .iter()
+                .find(|(t, _)| *t == w.current.tid)
+                .unwrap_or_else(|| panic!("seed {seed}: C_t missing the accessing thread"));
+            assert_eq!(
+                own.1,
+                p.current_epoch.clock(),
+                "seed {seed}: C_t(t) != E(t) at detection"
+            );
+        }
+    }
+    assert!(
+        warnings_seen > 50,
+        "property test exercised too few warnings ({warnings_seen})"
+    );
 }
