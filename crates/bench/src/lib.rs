@@ -14,8 +14,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod micro;
-
 use fasttrack::{Detector, Empty, FastTrack};
 use ft_detectors::{BasicVc, Djit, Eraser, Goldilocks, MultiRace};
 use ft_trace::{Op, Trace};
@@ -92,15 +90,6 @@ pub fn time_tool(name: &str, trace: &Trace, reps: u32) -> (Duration, Box<dyn Det
     (best, last.expect("reps >= 1"))
 }
 
-/// Times an arbitrary already-constructed pipeline or tool once.
-pub fn time_detector_once<D: Detector>(tool: &mut D, trace: &Trace) -> Duration {
-    let start = Instant::now();
-    for (i, op) in trace.events().iter().enumerate() {
-        tool.on_op(i, op);
-    }
-    start.elapsed()
-}
-
 /// Slowdown of `d` relative to `base`.
 pub fn slowdown(d: Duration, base: Duration) -> f64 {
     d.as_secs_f64() / base.as_secs_f64()
@@ -120,8 +109,8 @@ pub fn arithmetic_mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Simple `--key=value` argument lookup for the harness binaries.
-pub fn arg_value(args: &[String], key: &str) -> Option<String> {
+/// Simple `--key=value` argument lookup for [`HarnessOpts::from_env`].
+fn arg_value(args: &[String], key: &str) -> Option<String> {
     let prefix = format!("--{key}=");
     args.iter()
         .find(|a| a.starts_with(&prefix))

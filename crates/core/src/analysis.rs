@@ -16,7 +16,7 @@ use crate::warning::{AccessSummary, Provenance, ReadHistory, Warning, WarningKin
 use ft_clock::{Epoch, Tid, VcPool, VectorClock};
 use ft_obs::{Histogram, Snapshot};
 use ft_trace::batch::opcode;
-use ft_trace::{AccessKind, EventBlock, LockId, Op, Trace, VarId};
+use ft_trace::{AccessKind, EventBlock, LockId, Op, Trace, VarId, DEFAULT_BLOCK_EVENTS};
 use std::time::Instant;
 
 /// Free clocks the detector keeps around for `Rvc` reuse (the inflate /
@@ -56,11 +56,6 @@ pub struct FastTrackConfig {
     pub ablate_same_epoch: bool,
     /// Disable the adaptive epoch read representation (ablation only).
     pub ablate_adaptive_read: bool,
-    /// Disable the O(1) sync-join fast paths (ablation only): every acquire
-    /// clones the lock clock and joins it, every volatile read joins, and
-    /// barriers allocate a fresh scratch clock — the pre-fast-lane
-    /// behaviour, kept as the measured baseline for `ft-bench --bin sync`.
-    pub ablate_sync_fastpath: bool,
     /// Resource governance (see [`crate::guard`]). `None` disables
     /// accounting entirely; `Some` with [`GuardConfig::mem_budget`] `== 0`
     /// keeps the gauges live but never degrades.
@@ -78,8 +73,9 @@ pub struct FastTrackConfig {
     pub profile_tiers: bool,
 }
 
-/// Hit counters for the four dispatch tiers of the fused batch loops
-/// ([`FastTrack::run`] / `on_block`), from cheapest to most general:
+/// Hit counters for the four dispatch tiers of the fused batch loop
+/// (`on_block`, which [`FastTrack::run`] also feeds), from cheapest to most
+/// general:
 ///
 /// 1. **same-epoch probe** — the inline `[FT READ/WRITE SAME EPOCH]` check;
 /// 2. **inline exclusive** — the inline race-free `[FT READ/WRITE
@@ -446,7 +442,7 @@ impl FastTrack {
     /// The transition itself lives in [`rules::read_var`], shared with the
     /// `ft-sampler` tier; this wrapper only resolves the shadow state and
     /// turns the outcome into warnings.
-    // Outlined so the fused `run`/`on_block` loops stay small enough to sit
+    // Outlined so the fused `on_block` loop stays small enough to sit
     // in the µop cache; the same-epoch fast path never enters here.
     #[inline(never)]
     fn read(&mut self, index: usize, t: Tid, x: VarId) {
@@ -811,7 +807,7 @@ impl FastTrack {
         self.guard.as_ref().map_or(GuardTier::Full, Guard::tier)
     }
 
-    /// Per-tier hit counters for the fused batch loops. Always maintained;
+    /// Per-tier hit counters for the fused batch loop. Always maintained;
     /// see [`FastTrackConfig::profile_tiers`] for the latency histograms.
     pub fn tier_profile(&self) -> TierProfile {
         self.tiers
@@ -868,17 +864,6 @@ impl FastTrack {
         let Some(Some(lm)) = self.locks.get(idx) else {
             return; // never released: L_m = ⊥ᵥ, join is the identity
         };
-        if self.config.ablate_sync_fastpath {
-            // Baseline for the ablation bench: O(n) clone + join on every
-            // acquire, exactly the pre-fast-lane behaviour.
-            self.stats.vc_ops += 1;
-            self.sync_gen += 1;
-            let lm = lm.vc.clone();
-            let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-            ts.vc.join(&lm);
-            ts.refresh_epoch();
-            return;
-        }
         let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
         if ts.seen_lock(idx) == lm.version || lm.rel.happens_before(&ts.vc) {
             self.stats.sync_fastpath_hits += 1;
@@ -968,15 +953,6 @@ impl FastTrack {
         let Some(Some(lv)) = self.volatiles.get(idx) else {
             return; // never written: L_vx = ⊥ᵥ
         };
-        if self.config.ablate_sync_fastpath {
-            self.stats.vc_ops += 1;
-            self.sync_gen += 1;
-            let lv = lv.vc.clone();
-            let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-            ts.vc.join(&lv);
-            ts.refresh_epoch();
-            return;
-        }
         let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
         if ts.seen_volatile(idx) == lv.version {
             self.stats.sync_fastpath_hits += 1;
@@ -1024,22 +1000,10 @@ impl FastTrack {
     /// new joined clock is rebuilt from per-thread epochs in O(|T|) lane
     /// writes instead of |T| full vector joins.
     fn barrier_release(&mut self, threads: &[Tid]) {
-        let ablate = self.config.ablate_sync_fastpath;
-        let epoch_rebuild = !ablate
-            && self.barrier_gen == self.sync_gen
+        let epoch_rebuild = self.barrier_gen == self.sync_gen
             && self.barrier_parts == threads
             && !threads.is_empty();
-        let mut joined = if ablate {
-            // Baseline: the pre-fast-lane fresh clock per barrier.
-            self.stats.vc_allocated += 1;
-            VectorClock::new()
-        } else {
-            let mut j = std::mem::take(&mut self.barrier_scratch);
-            if !epoch_rebuild {
-                j.clear();
-            }
-            j
-        };
+        let mut joined = std::mem::take(&mut self.barrier_scratch);
         if epoch_rebuild {
             // Scratch still holds ⊔ of the previous phase; only the
             // participants' own lanes moved since (release/volatile-write
@@ -1053,6 +1017,7 @@ impl FastTrack {
                 joined.set(u, e.clock());
             }
         } else {
+            joined.clear();
             for &u in threads {
                 self.thread(u);
                 self.stats.vc_ops += 1;
@@ -1065,13 +1030,11 @@ impl FastTrack {
             ts.vc.assign(&joined);
             ts.inc();
         }
-        if !ablate {
-            self.barrier_scratch = joined;
-            self.barrier_gen = self.sync_gen;
-            if self.barrier_parts != threads {
-                self.barrier_parts.clear();
-                self.barrier_parts.extend_from_slice(threads);
-            }
+        self.barrier_scratch = joined;
+        self.barrier_gen = self.sync_gen;
+        if self.barrier_parts != threads {
+            self.barrier_parts.clear();
+            self.barrier_parts.extend_from_slice(threads);
         }
     }
 
@@ -1207,7 +1170,7 @@ impl Detector for FastTrack {
     fn on_op(&mut self, index: usize, op: &Op) -> Disposition {
         self.stats.ops += 1;
         // Accesses are recorded inside `read`/`write` (which also serve the
-        // fused loops); everything else is recorded here.
+        // fused loop); everything else is recorded here.
         if self.recorder.is_some() && !op.is_access() {
             self.record_op(index, op);
         }
@@ -1273,9 +1236,11 @@ impl Detector for FastTrack {
         // does — leaving the recorder-disabled loop structurally unchanged.
         let fast =
             self.guard.is_none() && self.recorder.is_none() && !self.config.ablate_same_epoch;
-        // Second inline tier as in `run`: race-free `[FT READ/WRITE
-        // EXCLUSIVE]` runs inline; only shared/racy/inflating accesses
-        // leave the loop.
+        // Second inline tier: race-free `[FT READ/WRITE EXCLUSIVE]` is two
+        // epoch-vs-clock compares and one store, so it runs inline too; only
+        // shared/racy/inflating accesses leave the loop. (Adaptive-read
+        // ablation inflates on first read, so it must take the full rule
+        // body.)
         let fast_excl = fast && !self.config.ablate_adaptive_read;
         // Fast-path hits are tallied in locals and flushed once after the
         // loop: the inline tiers make no calls, so these stay in registers
@@ -1407,105 +1372,13 @@ impl Detector for FastTrack {
     }
 
     fn run(&mut self, trace: &Trace) {
-        // The fused whole-trace loop: same-epoch hits short-circuit before
-        // any per-access setup (see `on_block`), accesses skip the
-        // prefilter-disposition lookup, and everything else falls back to
-        // `on_op`. Events are consumed straight off the slice — copying
-        // them into an `EventBlock` first would cost more than the fused
-        // dispatch saves (blocks earn their keep when the *decoder* fills
-        // them, as in the `.ftb` streaming path). As in `on_block`, a
-        // flight recorder forces every access onto the governed path.
-        let fast =
-            self.guard.is_none() && self.recorder.is_none() && !self.config.ablate_same_epoch;
-        // Second inline tier: the race-free `[FT READ/WRITE EXCLUSIVE]`
-        // case is two epoch-vs-clock compares and one store, so it runs
-        // inline too; only shared/racy/inflating accesses leave the loop.
-        // (Adaptive-read ablation inflates on first read, so it must take
-        // the full rule body.)
-        let fast_excl = fast && !self.config.ablate_adaptive_read;
-        // Access counters live in locals and flush once after the loop: the
-        // inline tiers then make no calls and no stores, so these stay in
-        // registers instead of being three read-modify-write stores through
-        // `&mut self` per event.
-        let mut accesses = 0u64;
-        let mut se_reads = 0u64;
-        let mut ex_reads = 0u64;
-        let mut se_writes = 0u64;
-        let mut ex_writes = 0u64;
-        for (index, op) in trace.events().iter().enumerate() {
-            match op {
-                Op::Read(t, x) => {
-                    accesses += 1;
-                    if fast {
-                        if let (Some(Some(ts)), Some(vs)) = (
-                            self.threads.get(t.as_usize()),
-                            self.vars.get_mut(x.as_usize()),
-                        ) {
-                            if vs.read_hits_same_epoch(ts.epoch) {
-                                se_reads += 1;
-                            } else {
-                                let w = vs.w();
-                                let r = vs.r();
-                                if fast_excl
-                                    && r != READ_SHARED
-                                    && w.happens_before(&ts.vc)
-                                    && r.happens_before(&ts.vc)
-                                {
-                                    // `[FT READ EXCLUSIVE]`, race-free.
-                                    vs.set_r(ts.epoch);
-                                    ex_reads += 1;
-                                } else {
-                                    // The probe proved both slabs are
-                                    // populated.
-                                    self.read_preensured(index, *t, *x);
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    self.read(index, *t, *x);
-                }
-                Op::Write(t, x) => {
-                    accesses += 1;
-                    if fast {
-                        if let (Some(Some(ts)), Some(vs)) = (
-                            self.threads.get(t.as_usize()),
-                            self.vars.get_mut(x.as_usize()),
-                        ) {
-                            if vs.write_hits_same_epoch(ts.epoch) {
-                                se_writes += 1;
-                            } else {
-                                let w = vs.w();
-                                let r = vs.r();
-                                if fast_excl
-                                    && r != READ_SHARED
-                                    && w.happens_before(&ts.vc)
-                                    && r.happens_before(&ts.vc)
-                                {
-                                    // `[FT WRITE EXCLUSIVE]`, race-free.
-                                    vs.set_w(ts.epoch);
-                                    ex_writes += 1;
-                                } else {
-                                    self.write_preensured(index, *t, *x);
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    self.write(index, *t, *x);
-                }
-                _ => {
-                    self.on_op(index, op);
-                }
-            }
+        // In-memory traces take the same fused loop as decoded `.ftb`
+        // streams: one reused block, refilled chunk by chunk.
+        let mut block = EventBlock::with_capacity(DEFAULT_BLOCK_EVENTS);
+        for (i, chunk) in trace.events().chunks(DEFAULT_BLOCK_EVENTS).enumerate() {
+            block.refill_from_ops(chunk);
+            self.on_block(i * DEFAULT_BLOCK_EVENTS, &block);
         }
-        self.stats.ops += accesses;
-        self.stats.reads += se_reads + ex_reads;
-        self.stats.writes += se_writes + ex_writes;
-        self.rules
-            .hit_fast_bulk(se_reads, ex_reads, se_writes, ex_writes);
-        self.tiers.same_epoch += se_reads + se_writes;
-        self.tiers.inline_exclusive += ex_reads + ex_writes;
     }
 
     fn warnings(&self) -> &[Warning] {
@@ -1558,7 +1431,7 @@ impl Detector for FastTrack {
             reg.set_gauge("guard.peak_bytes", b.peak() as f64);
             reg.set_meta("guard.tier", &self.guard_tier().to_string());
         }
-        // Per-tier dispatch counters for the fused batch loops (always on —
+        // Per-tier dispatch counters for the fused batch loop (always on —
         // the inline tiers flush from loop locals, the out-of-line tiers
         // count one add per entry).
         reg.inc_counter("tier.same_epoch.hits", self.tiers.same_epoch);

@@ -92,12 +92,12 @@ pub trait Detector {
     /// trace position `base_index`.
     ///
     /// This is the fused batch entry point: batch drivers (the `.ftb`
-    /// streaming analysis, the throughput bench) hand the detector a whole
-    /// structure-of-arrays block at once, so dispatch overhead is paid per
-    /// block rather than per event. The default simply replays the block
-    /// through [`Detector::on_op`] — semantically identical for every
-    /// detector — while hot detectors (FastTrack) override it to branch on
-    /// the raw kind lane directly.
+    /// streaming analysis, serve sessions, `perfbench`) hand the detector
+    /// a whole structure-of-arrays block at once, so dispatch overhead is
+    /// paid per block rather than per event. The default simply replays
+    /// the block through [`Detector::on_op`] — semantically identical for
+    /// every detector — while hot detectors (FastTrack) override it to
+    /// branch on the raw kind lane directly.
     ///
     /// Dispositions are not reported: prefilter composition runs event-at-
     /// a-time through [`Detector::on_op`].

@@ -323,7 +323,7 @@ impl RuleHits {
         }
     }
 
-    /// Bulk-records fast-path hits. The fused batch loops count same-epoch
+    /// Bulk-records fast-path hits. The fused batch loop counts same-epoch
     /// and race-free exclusive hits in locals (which stay in registers — the
     /// fast paths make no calls) and flush once per block instead of storing
     /// through `&mut self` on every event.

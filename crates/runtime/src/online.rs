@@ -536,6 +536,11 @@ impl LaneHub {
         read_lock(&self.lanes).clone()
     }
 
+    /// Whether thread `idx`'s lane exists in the live table.
+    fn has_lane(&self, idx: usize) -> bool {
+        matches!(read_lock(&self.lanes).get(idx), Some(Some(_)))
+    }
+
     /// Issues the next global sync ticket.
     ///
     /// Ticket order is a feasible linearization of the real synchronization
@@ -677,22 +682,37 @@ struct LaneCursor {
     consumed: u64,
 }
 
+/// Whether a join or barrier names a lane that exists but is missing from
+/// the drainer's snapshot of `snapshot_len` lanes. Such a lane was created
+/// after the snapshot (a fork made it before the sync was emitted), so its
+/// accesses cannot be analyzed yet and the edge must wait for the next
+/// snapshot. A lane missing from the live table holds no events at all.
+fn names_unsnapshotted_lane(op: &Op, snapshot_len: usize, hub: &LaneHub) -> bool {
+    let unsnapshotted = |t: &Tid| t.as_usize() >= snapshot_len && hub.has_lane(t.as_usize());
+    match op {
+        Op::Join(_, child) => unsnapshotted(child),
+        Op::BarrierRelease(parties) => parties.iter().any(unsnapshotted),
+        _ => false,
+    }
+}
+
 /// Pumps lane `idx`: analyzes leading accesses eagerly, applies sync events
 /// when their ticket is next, stops at a gate (`After`/`Sync` that must
 /// wait). Returns `true` if anything was consumed.
 fn pump_lane(
     idx: usize,
+    hub: &LaneHub,
     lanes: &[Option<Arc<Lane>>],
     cursors: &mut [LaneCursor],
     next_sync: &mut u64,
     state: &mut DetectorState,
 ) -> bool {
+    let Some(Some(lane)) = lanes.get(idx) else {
+        return false;
+    };
     let mut progress = false;
     loop {
         if cursors[idx].stash.is_empty() {
-            let Some(Some(lane)) = lanes.get(idx) else {
-                return progress;
-            };
             std::mem::swap(&mut *lock(&lane.q), &mut cursors[idx].stash);
             if cursors[idx].stash.is_empty() {
                 return progress;
@@ -712,7 +732,12 @@ fn pump_lane(
             LaneMsg::Access(..) => Head::Access,
             LaneMsg::After(k) if *k < *next_sync => Head::StaleAfter,
             LaneMsg::After(_) => return progress,
-            LaneMsg::Sync(k, _, _) if *k == *next_sync => Head::ApplySync,
+            LaneMsg::Sync(k, op, _) if *k == *next_sync => {
+                if names_unsnapshotted_lane(op, lanes.len(), hub) {
+                    return progress;
+                }
+                Head::ApplySync
+            }
             LaneMsg::Sync(..) => return progress,
         };
         match head {
@@ -744,7 +769,7 @@ fn pump_lane(
                         // The child finished before the join was emitted, so
                         // its lane holds only accesses and stale markers —
                         // all consumable now that every ticket < k is done.
-                        pump_lane(child.as_usize(), lanes, cursors, next_sync, state);
+                        pump_lane(child.as_usize(), hub, lanes, cursors, next_sync, state);
                     }
                     Op::BarrierRelease(parties) => {
                         for p in parties {
@@ -774,11 +799,11 @@ fn pump_to_marker(
     cursors: &mut [LaneCursor],
     state: &mut DetectorState,
 ) {
+    let Some(Some(lane)) = lanes.get(idx) else {
+        return;
+    };
     loop {
         if cursors[idx].stash.is_empty() {
-            let Some(Some(lane)) = lanes.get(idx) else {
-                return;
-            };
             std::mem::swap(&mut *lock(&lane.q), &mut cursors[idx].stash);
             if cursors[idx].stash.is_empty() {
                 // The marker was pushed before the barrier's Sync message
@@ -861,7 +886,7 @@ fn drain_loop(hub: &LaneHub, mut state: DetectorState) {
         loop {
             let mut round = false;
             for idx in 0..lanes.len() {
-                round |= pump_lane(idx, &lanes, &mut cursors, &mut next_sync, &mut state);
+                round |= pump_lane(idx, hub, &lanes, &mut cursors, &mut next_sync, &mut state);
             }
             if !round {
                 break;
@@ -2015,6 +2040,42 @@ mod tests {
                 panic!("missing histogram {h}: {:?}", report.metrics.histograms)
             });
             assert_eq!(summary.count, 500, "{h}");
+        }
+    }
+
+    /// A join or barrier can name a lane created after the drainer last
+    /// read the lane table: thread 0's long run of writes keeps the drainer
+    /// busy on one snapshot while thread 1 is forked, writes and is joined
+    /// (or released with thread 0 by a barrier). The edge must wait until
+    /// thread 1's write has been analyzed; applied early, the drainer would
+    /// report thread 0's later write as racing with it.
+    #[test]
+    fn sync_naming_a_lane_created_mid_drain_waits_for_it() {
+        let (t0, t1, x) = (Tid::new(0), Tid::new(1), VarId::new(5_000));
+        for tail in [Op::Join(t0, t1), Op::BarrierRelease(vec![t0, t1])] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let edge = tail.clone();
+            // Not joined: if the drainer dies, report() waits for good.
+            std::thread::spawn(move || {
+                let monitor = Monitor::buffered(FastTrack::new());
+                for i in 0..200_000 {
+                    monitor.emit_raw(Op::Write(t0, VarId::new(i % 1_000)));
+                }
+                monitor.emit_raw(Op::Fork(t0, t1));
+                monitor.emit_raw(Op::Write(t1, x));
+                monitor.emit_raw(edge);
+                monitor.emit_raw(Op::Write(t0, x));
+                let _ = tx.send(monitor.report());
+            });
+            let report = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("report() did not return: the drainer is gone");
+            assert_eq!(report.stats.ops, 200_004, "{tail:?}");
+            assert!(
+                report.warnings.is_empty(),
+                "{tail:?} applied before thread 1's write: {:?}",
+                report.warnings
+            );
         }
     }
 }

@@ -20,6 +20,8 @@ use fasttrack_suite::core::{Detector, FastTrack, FastTrackConfig, GuardConfig, P
 use fasttrack_suite::runtime::online::{FaultPlan, Monitor, MonitorConfig};
 use fasttrack_suite::trace::gen::{self, GenConfig};
 use fasttrack_suite::trace::{Op, Trace, VarId};
+use fasttrack_suite::workloads::eclipse::{self, EclipseOp};
+use fasttrack_suite::workloads::Scale;
 
 fn governed(trace: &Trace, budget: usize) -> FastTrack {
     let mut ft = FastTrack::with_config(FastTrackConfig {
@@ -65,39 +67,62 @@ fn unlimited_budget_is_bit_identical() {
     }
 }
 
+/// Runs `trace` under `budget` and checks the rung: no fabricated
+/// warnings, and a non-empty degradation record whenever the budget bit.
+/// Returns whether it bit.
+fn assert_sound_rung(trace: &Trace, base_vars: &BTreeSet<VarId>, budget: usize) -> bool {
+    let gov = governed(trace, budget);
+    let gov_vars = warning_vars(&gov);
+    assert!(
+        gov_vars.is_subset(base_vars),
+        "budget {budget}: fabricated warnings {:?} vs {:?}",
+        gov_vars,
+        base_vars
+    );
+    let peak = gov.shadow_budget().expect("guard configured").peak();
+    if peak <= budget {
+        return false;
+    }
+    // The budget bit: degradation must be recorded, loudly.
+    let record = gov
+        .precision()
+        .record()
+        .cloned()
+        .expect("over-budget run must report Degraded{...}");
+    assert!(
+        record.rvc_evictions > 0 || record.sampled_out > 0 || record.pool_clocks_dropped > 0,
+        "budget {budget}: empty degradation record at peak {peak}"
+    );
+    true
+}
+
 /// Finite budgets may miss races but never fabricate them, and a budget
-/// that actually bit must leave a degradation record.
+/// that actually bit must leave a degradation record. Besides generated
+/// racy traces, the read-shared-heavy eclipse operations are swept at
+/// fractions of their unguarded peak, so every rung is below it.
 #[test]
 fn finite_budget_warnings_are_a_sound_subset() {
     let mut degraded_runs = 0u64;
     for trace in racy_traces(60) {
-        let base = ungoverned(&trace);
-        let base_vars = warning_vars(&base);
+        let base_vars = warning_vars(&ungoverned(&trace));
         for budget in [4096usize, 1024, 256] {
-            let gov = governed(&trace, budget);
-            let gov_vars = warning_vars(&gov);
+            degraded_runs += assert_sound_rung(&trace, &base_vars, budget) as u64;
+        }
+    }
+    for op in [EclipseOp::Startup, EclipseOp::CleanLarge] {
+        let trace = eclipse::build(op, Scale { ops: 20_000 }, 42);
+        let base_vars = warning_vars(&ungoverned(&trace));
+        let peak = governed(&trace, 0)
+            .shadow_budget()
+            .expect("guard configured")
+            .peak();
+        for fraction in [0.5, 0.25, 0.1, 0.05] {
+            let budget = ((peak as f64 * fraction) as usize).max(64);
             assert!(
-                gov_vars.is_subset(&base_vars),
-                "budget {budget}: fabricated warnings {:?} vs {:?}",
-                gov_vars,
-                base_vars
+                assert_sound_rung(&trace, &base_vars, budget),
+                "{}: budget {budget} below the peak {peak} did not bite",
+                op.name()
             );
-            let peak = gov.shadow_budget().expect("guard configured").peak();
-            if peak > budget {
-                // The budget bit: degradation must be recorded, loudly.
-                let record = gov
-                    .precision()
-                    .record()
-                    .cloned()
-                    .expect("over-budget run must report Degraded{...}");
-                assert!(
-                    record.rvc_evictions > 0
-                        || record.sampled_out > 0
-                        || record.pool_clocks_dropped > 0,
-                    "budget {budget}: empty degradation record at peak {peak}"
-                );
-                degraded_runs += 1;
-            }
         }
     }
     assert!(

@@ -94,22 +94,30 @@ fn snapshot_json_round_trips_through_the_trace_parser() {
     }
 }
 
+/// A race-free and a racy trace replayed through both monitor modes: the
+/// warned variables are the oracle's, and every event is counted.
 #[test]
 fn online_monitor_replay_reports_overhead_in_both_modes() {
-    let trace = gen::generate(&GenConfig::race_free(), 21);
-    for make in [
-        Monitor::new::<FastTrack> as fn(FastTrack) -> Monitor,
-        Monitor::buffered,
-    ] {
-        let monitor = make(FastTrack::new());
-        for op in trace.events() {
-            monitor.emit_raw(op.clone());
+    for cfg in [GenConfig::race_free(), GenConfig::default().with_races(0.1)] {
+        let trace = gen::generate(&cfg, 21);
+        let race_vars = HbOracle::analyze(&trace).race_vars();
+        for make in [
+            Monitor::new::<FastTrack> as fn(FastTrack) -> Monitor,
+            Monitor::buffered,
+        ] {
+            let monitor = make(FastTrack::new());
+            for op in trace.events() {
+                monitor.emit_raw(op.clone());
+            }
+            let report = monitor.report();
+            let mut warned: Vec<_> = report.warnings.iter().map(|w| w.var).collect();
+            warned.sort_unstable();
+            warned.dedup();
+            assert_eq!(warned, race_vars);
+            assert_eq!(report.stats.ops, trace.len() as u64);
+            let emit = report.metrics.histogram("online.emit_ns").expect("emit_ns");
+            assert_eq!(emit.count, trace.len() as u64);
         }
-        let report = monitor.report();
-        assert!(report.warnings.is_empty());
-        assert_eq!(report.stats.ops, trace.len() as u64);
-        let emit = report.metrics.histogram("online.emit_ns").expect("emit_ns");
-        assert_eq!(emit.count, trace.len() as u64);
     }
 }
 

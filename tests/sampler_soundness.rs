@@ -14,15 +14,15 @@
 //! 3. **Budget 0 is inert** — zero samples kept means zero warnings and no
 //!    panic, while sync bookkeeping still runs.
 //! 4. **Determinism** — a fixed (seed, budget, rate) yields identical
-//!    warnings and admission counts across repeated runs, and across the
-//!    two drivers (the skip-counting `replay` loop and per-op `run`
-//!    dispatch), which consume the split gap/reservoir RNG streams in the
-//!    same order by construction.
+//!    warnings and admission counts across repeated runs, and whether the
+//!    trace arrives whole (`Detector::run`) or in `EventBlock` chunks
+//!    (`Detector::on_block`, the `.ftb` and serve path).
 
 use fasttrack_suite::core::{Detector, FastTrack};
 use fasttrack_suite::sampler::{Sampler, SamplerConfig};
 use fasttrack_suite::trace::gen::{self, GenConfig};
-use fasttrack_suite::trace::{Trace, VarId};
+use fasttrack_suite::trace::{EventBlock, Trace, VarId};
+use fasttrack_suite::workloads::{build, Scale};
 
 fn fasttrack_race_vars(trace: &Trace) -> Vec<VarId> {
     let mut ft = FastTrack::new();
@@ -42,10 +42,11 @@ fn eager(seed: u64, budget: usize) -> SamplerConfig {
         .with_seed(seed)
 }
 
-fn assert_subset_with_provenance(trace: &Trace, config: SamplerConfig, label: &str) {
+/// Returns how many warnings the sampler reported.
+fn assert_subset_with_provenance(trace: &Trace, config: SamplerConfig, label: &str) -> usize {
     let known = fasttrack_race_vars(trace);
     let mut sampler = Sampler::with_config(config);
-    sampler.replay(trace);
+    sampler.run(trace);
     for w in sampler.warnings() {
         assert!(
             known.binary_search(&w.var).is_ok(),
@@ -76,11 +77,13 @@ fn assert_subset_with_provenance(trace: &Trace, config: SamplerConfig, label: &s
             "{label}: C_t(t) != E(t) at detection"
         );
     }
+    sampler.warnings().len()
 }
 
 /// 600 racy + 200 chaotic + 200 race-free generated traces: no sampler
 /// warning may name a variable outside FastTrack's racy-variable set, at
-/// several budgets.
+/// several budgets. The Table 1 `tsp` program (a deliberate benign race)
+/// must also be caught at full admission with budgets 4 and 16.
 #[test]
 fn sampler_warnings_are_a_subset_of_fasttrack() {
     let racy = GenConfig {
@@ -96,6 +99,11 @@ fn sampler_warnings_are_a_subset_of_fasttrack() {
         let trace = gen::chaotic(6, 24, 4, 400, seed);
         assert_subset_with_provenance(&trace, eager(seed, 4), &format!("chaotic seed {seed}"));
     }
+    let tsp = build("tsp", Scale { ops: 20_000 }, 42);
+    for budget in [4, 16] {
+        let caught = assert_subset_with_provenance(&tsp, eager(42, budget), "tsp");
+        assert!(caught > 0, "tsp: zero recall at rate 1.0, budget {budget}");
+    }
     let clean = GenConfig {
         ops: 400,
         ..GenConfig::race_free()
@@ -103,7 +111,7 @@ fn sampler_warnings_are_a_subset_of_fasttrack() {
     for seed in 0..200u64 {
         let trace = gen::generate(&clean, seed);
         let mut sampler = Sampler::with_config(eager(seed, 4));
-        sampler.replay(&trace);
+        sampler.run(&trace);
         assert!(
             sampler.warnings().is_empty(),
             "race-free seed {seed}: sampler warned on a race-free trace: {:?}",
@@ -123,7 +131,7 @@ fn budget_zero_reports_nothing_and_does_not_panic() {
     for seed in 0..100u64 {
         let trace = gen::generate(&cfg, seed);
         let mut sampler = Sampler::with_config(eager(seed, 0));
-        sampler.replay(&trace);
+        sampler.run(&trace);
         assert!(
             sampler.warnings().is_empty(),
             "seed {seed}: budget 0 produced warnings"
@@ -141,9 +149,9 @@ fn budget_zero_reports_nothing_and_does_not_panic() {
     }
 }
 
-/// A fixed (seed, budget, rate) is fully deterministic: repeated replays
-/// agree, and the per-op `run` driver agrees with the skip-counting
-/// `replay` driver — warnings, admissions, and eviction counts alike.
+/// A fixed (seed, budget, rate) is fully deterministic: repeated runs
+/// agree, and a run fed in 64-event blocks agrees with a whole-trace run —
+/// warnings, admissions, and eviction counts alike.
 #[test]
 fn fixed_seed_is_deterministic_across_runs_and_drivers() {
     let cfg = GenConfig {
@@ -159,13 +167,13 @@ fn fixed_seed_is_deterministic_across_runs_and_drivers() {
             .with_seed(seed ^ 0xdead_beef);
 
         let mut a = Sampler::with_config(config.clone());
-        a.replay(&trace);
+        a.run(&trace);
         let mut b = Sampler::with_config(config.clone());
-        b.replay(&trace);
+        b.run(&trace);
         assert_eq!(
             a.warnings(),
             b.warnings(),
-            "seed {seed}: replay nondeterminism"
+            "seed {seed}: run nondeterminism"
         );
         assert_eq!(
             a.admitted(),
@@ -179,16 +187,20 @@ fn fixed_seed_is_deterministic_across_runs_and_drivers() {
         );
 
         let mut c = Sampler::with_config(config);
-        c.run(&trace);
+        let mut block = EventBlock::with_capacity(64);
+        for (i, chunk) in trace.events().chunks(64).enumerate() {
+            block.refill_from_ops(chunk);
+            c.on_block(i * 64, &block);
+        }
         assert_eq!(
             a.warnings(),
             c.warnings(),
-            "seed {seed}: replay and per-op drivers diverge on warnings"
+            "seed {seed}: whole-trace and block drivers diverge on warnings"
         );
         assert_eq!(
             a.admitted(),
             c.admitted(),
-            "seed {seed}: replay and per-op drivers diverge on admissions"
+            "seed {seed}: whole-trace and block drivers diverge on admissions"
         );
     }
 }
