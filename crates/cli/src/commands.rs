@@ -5,7 +5,7 @@ use crate::{coarsen_trace, load_trace, print_oracle, print_report, save_trace};
 use fasttrack::{
     Detector, Empty, FastTrack, FastTrackConfig, GuardConfig, RecorderConfig, TierProfile,
 };
-use ft_detectors::{BasicVc, Djit, Eraser, Goldilocks, MultiRace, RaceTrack};
+use ft_detectors::{BasicVc, Djit, Eraser, Goldilocks, MultiRace};
 use ft_runtime::analyze_stream;
 use ft_sampler::{Sampler, SamplerConfig};
 use ft_trace::gen::{self, GenConfig};
@@ -30,7 +30,6 @@ fn make_tool(
         "MULTIRACE" => Box::new(MultiRace::new()),
         "GOLDILOCKS" => Box::new(Goldilocks::new()),
         "GOLDILOCKS-FAST" => Box::new(Goldilocks::with_thread_local_fast_path()),
-        "RACETRACK" => Box::new(RaceTrack::new()),
         "BASICVC" => Box::new(BasicVc::new()),
         "DJIT+" | "DJIT" => Box::new(Djit::new()),
         "FASTTRACK" => Box::new(FastTrack::with_config(FastTrackConfig {

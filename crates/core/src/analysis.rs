@@ -10,13 +10,14 @@ use crate::detector::{self, Detector, Disposition};
 use crate::flight::{FlightRecorder, RecorderConfig, ThreadTail};
 use crate::guard::{Guard, GuardConfig, GuardTier, Precision, ShadowBudget};
 use crate::rules::{self, RuleHits};
-use crate::state::{LockClock, ThreadState, VarState, VolatileClock, READ_SHARED};
+use crate::state::{VarState, READ_SHARED};
 use crate::stats::{RuleCount, Stats};
+use crate::sync::SyncEngine;
 use crate::warning::{AccessSummary, Provenance, ReadHistory, Warning, WarningKind};
 use ft_clock::{Epoch, Tid, VcPool, VectorClock};
 use ft_obs::{Histogram, Snapshot};
 use ft_trace::batch::opcode;
-use ft_trace::{AccessKind, EventBlock, LockId, Op, Trace, VarId, DEFAULT_BLOCK_EVENTS};
+use ft_trace::{AccessKind, EventBlock, Op, Trace, VarId, DEFAULT_BLOCK_EVENTS};
 use std::time::Instant;
 
 /// Free clocks the detector keeps around for `Rvc` reuse (the inflate /
@@ -150,13 +151,8 @@ impl TierLatencies {
 /// paper suggests via accordion clocks.
 #[derive(Clone, Debug)]
 pub struct FastTrack {
-    threads: Vec<Option<ThreadState>>,
-    /// `L_m` per lock, allocated on first release, stamped with the
-    /// releaser's epoch and a version for the O(1) acquire fast path.
-    locks: Vec<Option<LockClock>>,
-    /// `L_vx` per volatile variable (§4 extends `L` over volatiles),
-    /// version-stamped so redundant re-reads skip the join.
-    volatiles: Vec<Option<VolatileClock>>,
+    /// Thread, lock and volatile clocks with the sync handlers.
+    sync: SyncEngine,
     vars: Vec<VarState>,
     /// Variables that already produced a warning (suppression set).
     warned: Vec<bool>,
@@ -168,24 +164,6 @@ pub struct FastTrack {
     recorder: Option<FlightRecorder>,
     tiers: TierProfile,
     tier_lat: Option<Box<TierLatencies>>,
-    /// Reused join target for `[FT BARRIER RELEASE]` — barriers are
-    /// steady-state events, so the scratch clock is allocated once per
-    /// detector instead of once per barrier.
-    barrier_scratch: VectorClock,
-    /// Generation counter bumped whenever any thread clock gains *foreign*
-    /// entries (acquire/volatile-read slow joins, fork, join). Between two
-    /// barriers with no such event and an unchanged participant set, every
-    /// participant's clock is the previous barrier's joined clock with only
-    /// its own lane advanced — so the next joined clock is the scratch with
-    /// each participant lane set to that thread's current epoch, O(|T|)
-    /// lane writes instead of |T| full vector joins.
-    sync_gen: u64,
-    /// `sync_gen` snapshot taken at the end of the last barrier.
-    barrier_gen: u64,
-    /// Participant set of the last barrier (order-sensitive by design:
-    /// barrier ops replay deterministically, so the common case is an
-    /// identical slice).
-    barrier_parts: Vec<Tid>,
     config: FastTrackConfig,
 }
 
@@ -207,9 +185,7 @@ impl FastTrack {
         let recorder = config.recorder.map(FlightRecorder::new);
         let tier_lat = config.profile_tiers.then(|| Box::new(TierLatencies::new()));
         FastTrack {
-            threads: Vec::new(),
-            locks: Vec::new(),
-            volatiles: Vec::new(),
+            sync: SyncEngine::new(),
             vars: Vec::new(),
             warned: Vec::new(),
             warnings: Vec::new(),
@@ -220,36 +196,8 @@ impl FastTrack {
             recorder,
             tiers: TierProfile::default(),
             tier_lat,
-            barrier_scratch: VectorClock::new(),
-            sync_gen: 0,
-            barrier_gen: u64::MAX,
-            barrier_parts: Vec::new(),
             config,
         }
-    }
-
-    /// Pre-sizes shadow state for a known id space, avoiding growth checks
-    /// mid-run (used by the benchmark harness).
-    pub fn with_capacity(n_threads: u32, n_vars: u32, n_locks: u32) -> Self {
-        let mut ft = Self::new();
-        ft.threads.reserve(n_threads as usize);
-        ft.vars.reserve(n_vars as usize);
-        ft.locks.reserve(n_locks as usize);
-        ft
-    }
-
-    #[inline]
-    fn thread(&mut self, t: Tid) -> &mut ThreadState {
-        let idx = t.as_usize();
-        if idx >= self.threads.len() {
-            self.threads.resize_with(idx + 1, || None);
-        }
-        let slot = &mut self.threads[idx];
-        if slot.is_none() {
-            self.stats.vc_allocated += 1; // the thread's own C_t
-            *slot = Some(ThreadState::new(t));
-        }
-        slot.as_mut().expect("just initialized")
     }
 
     #[inline]
@@ -351,7 +299,7 @@ impl FastTrack {
         prior_r: Epoch,
         prior_rvc: Option<Vec<(Tid, u32)>>,
     ) -> Provenance {
-        let ts = self.threads[t.as_usize()]
+        let ts = self.sync.threads()[t.as_usize()]
             .as_ref()
             .expect("accessing thread has state");
         let prior_reads = match prior_rvc {
@@ -387,51 +335,19 @@ impl FastTrack {
         }
     }
 
-    /// Records one access into the flight recorder, charging newly
-    /// allocated ring bytes to the guard budget.
-    #[inline]
-    fn record_access(&mut self, index: usize, kind: u8, t: Tid, x: VarId) {
+    /// Records one event into the flight recorder (`members` are a
+    /// barrier's parties), charging newly allocated ring bytes to the guard
+    /// budget.
+    // Outlined: the fused `on_block` loop calls it only while a recorder is
+    // on, and inlining the ring write there would grow the loop body.
+    #[inline(never)]
+    fn record_event(&mut self, index: usize, kind: u8, t: Tid, a: u32, members: &[Tid]) {
         if let Some(rec) = self.recorder.as_mut() {
-            let charged = rec.record_raw(t, index as u64, kind, x.as_u32());
+            let charged = rec.record_event(index as u64, kind, t, a, members);
             if charged > 0 {
                 if let Some(g) = self.guard.as_mut() {
                     g.charge(charged);
                 }
-            }
-        }
-    }
-
-    /// Records a decoded non-access op into the flight recorder.
-    fn record_op(&mut self, index: usize, op: &Op) {
-        if let Some(rec) = self.recorder.as_mut() {
-            let charged = rec.record_op(index as u64, op);
-            if charged > 0 {
-                if let Some(g) = self.guard.as_mut() {
-                    g.charge(charged);
-                }
-            }
-        }
-    }
-
-    /// Records one raw sync/marker event from an [`EventBlock`]; barrier
-    /// releases are attributed to every party.
-    fn record_block_sync(&mut self, index: usize, block: &EventBlock, kind: u8, t: Tid, a: u32) {
-        let Some(rec) = self.recorder.as_mut() else {
-            return;
-        };
-        let charged = if kind == opcode::BARRIER {
-            let parties = block.barrier(a);
-            let n = parties.len() as u32;
-            parties
-                .iter()
-                .map(|&p| rec.record_raw(p, index as u64, opcode::BARRIER, n))
-                .sum()
-        } else {
-            rec.record_raw(t, index as u64, kind, a)
-        };
-        if charged > 0 {
-            if let Some(g) = self.guard.as_mut() {
-                g.charge(charged);
             }
         }
     }
@@ -461,18 +377,15 @@ impl FastTrack {
 
     fn read_governed(&mut self, index: usize, t: Tid, x: VarId) {
         self.stats.reads += 1;
-        self.record_access(index, opcode::READ, t, x);
+        self.record_event(index, opcode::READ, t, x.as_u32(), &[]);
         if self.sampled_out(x) {
             return;
         }
-        let epoch = self.thread(t).epoch;
+        let epoch = self.sync.thread(t, &mut self.stats).epoch;
         self.var(x); // ensure shadow state exists
 
         // Split borrows: the rules touch disjoint fields of self.
-        let ts_vc = &self.threads[t.as_usize()]
-            .as_ref()
-            .expect("thread initialized above")
-            .vc;
+        let ts_vc = self.sync.clock(t);
         // `rvc_bytes` dereferences the boxed Rvc; only the guard needs the
         // before/after delta, so ungoverned runs skip it entirely.
         let before = if self.guard.is_some() {
@@ -549,17 +462,14 @@ impl FastTrack {
 
     fn write_governed(&mut self, index: usize, t: Tid, x: VarId) {
         self.stats.writes += 1;
-        self.record_access(index, opcode::WRITE, t, x);
+        self.record_event(index, opcode::WRITE, t, x.as_u32(), &[]);
         if self.sampled_out(x) {
             return;
         }
-        let epoch = self.thread(t).epoch;
+        let epoch = self.sync.thread(t, &mut self.stats).epoch;
         self.var(x); // ensure shadow state exists
 
-        let ts_vc = &self.threads[t.as_usize()]
-            .as_ref()
-            .expect("thread initialized above")
-            .vc;
+        let ts_vc = self.sync.clock(t);
         let before = if self.guard.is_some() {
             self.vars[x.as_usize()].rvc_bytes()
         } else {
@@ -650,7 +560,7 @@ impl FastTrack {
         self.tiers.preensured += 1;
         let t0 = self.tier_lat.as_ref().map(|_| Instant::now());
         self.stats.reads += 1;
-        let ts = self.threads[t.as_usize()]
+        let ts = self.sync.threads()[t.as_usize()]
             .as_ref()
             .expect("caller proved the thread slot exists");
         let outcome = rules::read_var(
@@ -701,7 +611,7 @@ impl FastTrack {
         self.tiers.preensured += 1;
         let t0 = self.tier_lat.as_ref().map(|_| Instant::now());
         self.stats.writes += 1;
-        let ts = self.threads[t.as_usize()]
+        let ts = self.sync.threads()[t.as_usize()]
             .as_ref()
             .expect("caller proved the thread slot exists");
         let outcome = rules::write_var(
@@ -818,226 +728,6 @@ impl FastTrack {
         self.recorder.as_ref()
     }
 
-    /// Split borrow into the thread slab: mutable `dst`, shared `src`.
-    /// Both slots must already be ensured, and `dst != src` — this is what
-    /// lets fork/join/acquire join one clock into another without cloning
-    /// the source first.
-    #[inline]
-    fn thread_pair(
-        threads: &mut [Option<ThreadState>],
-        dst: usize,
-        src: usize,
-    ) -> (&mut ThreadState, &ThreadState) {
-        debug_assert_ne!(dst, src);
-        if dst < src {
-            let (lo, hi) = threads.split_at_mut(src);
-            (
-                lo[dst].as_mut().expect("ensured"),
-                hi[0].as_ref().expect("ensured"),
-            )
-        } else {
-            let (lo, hi) = threads.split_at_mut(dst);
-            (
-                hi[0].as_mut().expect("ensured"),
-                lo[src].as_ref().expect("ensured"),
-            )
-        }
-    }
-
-    /// `[FT ACQUIRE]`: `C_t := C_t ⊔ L_m`.
-    ///
-    /// Two O(1) fast paths run before the O(n) join:
-    ///
-    /// 1. **seen-version** — one load: `t` already joined this exact clock
-    ///    (same [`LockClock::version`]), so the join is the identity;
-    /// 2. **release-epoch** — `C_t(r) ≥ c` for the releaser's pre-increment
-    ///    epoch `c@r` implies `C_t ⊒ L_m` (release *assigns* the whole
-    ///    clock and every published clock is followed by an increment, so
-    ///    `C_t(r) ≥ c` only arises via a synchronization chain from at or
-    ///    after that release), making the join the identity again.
-    ///
-    /// The miss path is a clone-free split-borrow join — the pre-fast-lane
-    /// code cloned `L_m` on every acquire.
-    fn acquire(&mut self, t: Tid, m: LockId) {
-        self.thread(t); // ensure exists
-        let idx = m.as_usize();
-        let Some(Some(lm)) = self.locks.get(idx) else {
-            return; // never released: L_m = ⊥ᵥ, join is the identity
-        };
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        if ts.seen_lock(idx) == lm.version || lm.rel.happens_before(&ts.vc) {
-            self.stats.sync_fastpath_hits += 1;
-            ts.note_lock(idx, lm.version);
-            return;
-        }
-        self.stats.sync_slow_joins += 1;
-        self.stats.vc_ops += 1;
-        self.sync_gen += 1;
-        ts.vc.join(&lm.vc);
-        ts.refresh_epoch();
-        ts.note_lock(idx, lm.version);
-    }
-
-    /// `[FT RELEASE]`: `L_m := C_t; C_t := incₜ(C_t)`.
-    ///
-    /// The lock clock is stamped with the releaser's pre-increment epoch
-    /// (the acquire fast path's certificate) and its version is bumped so
-    /// stale seen-version stamps stop matching.
-    fn release(&mut self, t: Tid, m: LockId) {
-        self.thread(t);
-        let idx = m.as_usize();
-        if idx >= self.locks.len() {
-            self.locks.resize_with(idx + 1, || None);
-        }
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        self.stats.vc_ops += 1; // O(n) copy
-        match &mut self.locks[idx] {
-            Some(lm) => {
-                lm.vc.assign(&ts.vc);
-                lm.rel = ts.epoch;
-                lm.version += 1;
-            }
-            slot @ None => {
-                self.stats.vc_allocated += 1;
-                *slot = Some(LockClock::new(ts.vc.clone(), ts.epoch));
-            }
-        }
-        ts.inc();
-    }
-
-    /// `[FT FORK]`: `C_u := C_u ⊔ C_t; C_t := incₜ(C_t)`.
-    ///
-    /// No O(1) skip exists here: every outgoing publication of `C_t` is
-    /// followed by an increment, so the child can never already dominate
-    /// the parent's *current* clock — the join always does work. It is a
-    /// clone-free split borrow instead.
-    fn fork(&mut self, t: Tid, u: Tid) {
-        self.thread(t);
-        self.thread(u);
-        self.stats.vc_ops += 1;
-        if t != u {
-            self.sync_gen += 1;
-            let (us, ct) = Self::thread_pair(&mut self.threads, u.as_usize(), t.as_usize());
-            us.vc.join(&ct.vc);
-            us.refresh_epoch();
-        }
-        self.threads[t.as_usize()].as_mut().expect("ensured").inc();
-    }
-
-    /// `[FT JOIN]`: `C_t := C_t ⊔ C_u; C_u := inc_u(C_u)`.
-    ///
-    /// Clone-free for the same reason as [`FastTrack::fork`] — and like
-    /// fork, a skip check can never fire, so none is attempted.
-    fn join(&mut self, t: Tid, u: Tid) {
-        self.thread(t);
-        self.thread(u);
-        self.stats.vc_ops += 1;
-        if t != u {
-            self.sync_gen += 1;
-            let (ts, cu) = Self::thread_pair(&mut self.threads, t.as_usize(), u.as_usize());
-            ts.vc.join(&cu.vc);
-            ts.refresh_epoch();
-        }
-        self.threads[u.as_usize()].as_mut().expect("ensured").inc();
-    }
-
-    /// `[FT READ VOLATILE]`: `C_t := C_t ⊔ L_vx` (§4).
-    ///
-    /// `L_vx` is a *join* of every writer, so no single release epoch
-    /// summarizes it — the seen-version stamp is the only O(1) skip: if `t`
-    /// already joined this exact clock version, the re-join is the
-    /// identity.
-    fn volatile_read(&mut self, t: Tid, x: VarId) {
-        self.thread(t);
-        let idx = x.as_usize();
-        let Some(Some(lv)) = self.volatiles.get(idx) else {
-            return; // never written: L_vx = ⊥ᵥ
-        };
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        if ts.seen_volatile(idx) == lv.version {
-            self.stats.sync_fastpath_hits += 1;
-            return;
-        }
-        self.stats.sync_slow_joins += 1;
-        self.stats.vc_ops += 1;
-        self.sync_gen += 1;
-        ts.vc.join(&lv.vc);
-        ts.refresh_epoch();
-        ts.note_volatile(idx, lv.version);
-    }
-
-    /// `[FT WRITE VOLATILE]`: `L_vx := C_t ⊔ L_vx; C_t := incₜ(C_t)` (§4).
-    fn volatile_write(&mut self, t: Tid, x: VarId) {
-        self.thread(t);
-        let idx = x.as_usize();
-        if idx >= self.volatiles.len() {
-            self.volatiles.resize_with(idx + 1, || None);
-        }
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        self.stats.vc_ops += 1;
-        match &mut self.volatiles[idx] {
-            Some(lv) => {
-                lv.vc.join(&ts.vc);
-                lv.version += 1;
-            }
-            slot @ None => {
-                self.stats.vc_allocated += 1;
-                *slot = Some(VolatileClock::new(ts.vc.clone()));
-            }
-        }
-        ts.inc();
-    }
-
-    /// `[FT BARRIER RELEASE]`: every `t ∈ T` gets `C_t := incₜ(⊔_{u∈T} C_u)`
-    /// (§4).
-    ///
-    /// The join target is the detector-lifetime scratch clock — barriers
-    /// are steady-state events in phased programs, so they must not charge
-    /// an allocation per phase. In the steady state (same participant set,
-    /// no foreign-entry joins since the previous barrier, as tracked by
-    /// `sync_gen`), every participant's clock is
-    /// the previous joined clock with only its own lane advanced, so the
-    /// new joined clock is rebuilt from per-thread epochs in O(|T|) lane
-    /// writes instead of |T| full vector joins.
-    fn barrier_release(&mut self, threads: &[Tid]) {
-        let epoch_rebuild = self.barrier_gen == self.sync_gen
-            && self.barrier_parts == threads
-            && !threads.is_empty();
-        let mut joined = std::mem::take(&mut self.barrier_scratch);
-        if epoch_rebuild {
-            // Scratch still holds ⊔ of the previous phase; only the
-            // participants' own lanes moved since (release/volatile-write
-            // increments), and each one's current value is its epoch.
-            self.stats.sync_fastpath_hits += 1;
-            for &u in threads {
-                let e = self.threads[u.as_usize()]
-                    .as_ref()
-                    .expect("participant")
-                    .epoch;
-                joined.set(u, e.clock());
-            }
-        } else {
-            joined.clear();
-            for &u in threads {
-                self.thread(u);
-                self.stats.vc_ops += 1;
-                joined.join(&self.threads[u.as_usize()].as_ref().expect("ensured").vc);
-            }
-        }
-        for &t in threads {
-            self.stats.vc_ops += 1;
-            let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-            ts.vc.assign(&joined);
-            ts.inc();
-        }
-        self.barrier_scratch = joined;
-        self.barrier_gen = self.sync_gen;
-        if self.barrier_parts != threads {
-            self.barrier_parts.clear();
-            self.barrier_parts.extend_from_slice(threads);
-        }
-    }
-
     /// Advances thread `t`'s clock (`C_t := incₜ(C_t)`) without any other
     /// effect.
     ///
@@ -1046,7 +736,7 @@ impl FastTrack {
     /// still end the releasing thread's epoch so the same-epoch caches stay
     /// sound).
     pub fn advance_epoch(&mut self, t: Tid) {
-        self.thread(t).inc();
+        self.sync.thread(t, &mut self.stats).inc();
     }
 
     /// Checks the appendix's **Definition 1 (well-formed states)** on the
@@ -1064,16 +754,17 @@ impl FastTrack {
     /// `well_formedness_is_preserved` exercises exactly that claim against
     /// this checker after every analyzed event.
     pub fn well_formedness_violation(&self) -> Option<String> {
+        let threads = self.sync.threads();
         let clock_of = |t: Tid| -> Option<&VectorClock> {
-            self.threads
+            threads
                 .get(t.as_usize())
                 .and_then(|s| s.as_ref())
                 .map(|s| &s.vc)
         };
         // Clause 1.
-        for (ui, us) in self.threads.iter().enumerate() {
+        for (ui, us) in threads.iter().enumerate() {
             let Some(us) = us else { continue };
-            for (ti, ts) in self.threads.iter().enumerate() {
+            for (ti, ts) in threads.iter().enumerate() {
                 let Some(ts) = ts else { continue };
                 let t = Tid::new(ti as u32);
                 if ui != ti && us.vc.get(t) >= ts.vc.get(t) {
@@ -1086,9 +777,7 @@ impl FastTrack {
             }
         }
         // Clause 2 (locks and the volatile extension of L).
-        let lock_clocks = self.locks.iter().map(|s| s.as_ref().map(|l| &l.vc));
-        let volatile_clocks = self.volatiles.iter().map(|s| s.as_ref().map(|v| &v.vc));
-        for (mi, lm) in lock_clocks.chain(volatile_clocks).enumerate() {
+        for (mi, lm) in self.sync.sync_clocks().enumerate() {
             let Some(lm) = lm else { continue };
             for (t, c) in lm.iter_nonzero() {
                 let Some(ct) = clock_of(t) else {
@@ -1172,7 +861,8 @@ impl Detector for FastTrack {
         // Accesses are recorded inside `read`/`write` (which also serve the
         // fused loop); everything else is recorded here.
         if self.recorder.is_some() && !op.is_access() {
-            self.record_op(index, op);
+            let (kind, t, a, members) = op.parts();
+            self.record_event(index, kind, t, a, members);
         }
         match op {
             Op::Read(t, x) => {
@@ -1183,44 +873,7 @@ impl Detector for FastTrack {
                 self.write(index, *t, *x);
                 return self.access_disposition(*x);
             }
-            Op::Acquire(t, m) => {
-                self.stats.sync_ops += 1;
-                self.acquire(*t, *m);
-            }
-            Op::Release(t, m) => {
-                self.stats.sync_ops += 1;
-                self.release(*t, *m);
-            }
-            Op::Fork(t, u) => {
-                self.stats.sync_ops += 1;
-                self.fork(*t, *u);
-            }
-            Op::Join(t, u) => {
-                self.stats.sync_ops += 1;
-                self.join(*t, *u);
-            }
-            Op::VolatileRead(t, x) => {
-                self.stats.sync_ops += 1;
-                self.volatile_read(*t, *x);
-            }
-            Op::VolatileWrite(t, x) => {
-                self.stats.sync_ops += 1;
-                self.volatile_write(*t, *x);
-            }
-            Op::Wait(t, m) => {
-                // §4: wait = release + subsequent acquire.
-                self.stats.sync_ops += 1;
-                self.release(*t, *m);
-                self.acquire(*t, *m);
-            }
-            Op::BarrierRelease(ts) => {
-                self.stats.sync_ops += 1;
-                self.barrier_release(ts);
-            }
-            Op::Notify(..) | Op::AtomicBegin(_) | Op::AtomicEnd(_) => {
-                // No happens-before effect (§4: "A notify operation can be
-                // ignored").
-            }
+            _ => self.sync.apply_op(op, &mut self.stats),
         }
         Disposition::Forward
     }
@@ -1259,7 +912,7 @@ impl Detector for FastTrack {
             if kind == opcode::READ {
                 if fast {
                     if let (Some(Some(ts)), Some(vs)) = (
-                        self.threads.get(t.as_usize()),
+                        self.sync.threads().get(t.as_usize()),
                         self.vars.get_mut(a as usize),
                     ) {
                         if vs.read_hits_same_epoch(ts.epoch) {
@@ -1287,7 +940,7 @@ impl Detector for FastTrack {
             } else if kind == opcode::WRITE {
                 if fast {
                     if let (Some(Some(ts)), Some(vs)) = (
-                        self.threads.get(t.as_usize()),
+                        self.sync.threads().get(t.as_usize()),
                         self.vars.get_mut(a as usize),
                     ) {
                         if vs.write_hits_same_epoch(ts.epoch) {
@@ -1312,49 +965,15 @@ impl Detector for FastTrack {
                 }
                 self.write(base_index + i, t, VarId::new(a));
             } else {
+                let members = if kind == opcode::BARRIER {
+                    block.barrier(a)
+                } else {
+                    &[]
+                };
                 if self.recorder.is_some() {
-                    self.record_block_sync(base_index + i, block, kind, t, a);
+                    self.record_event(base_index + i, kind, t, a, members);
                 }
-                match kind {
-                    opcode::ACQUIRE => {
-                        self.stats.sync_ops += 1;
-                        self.acquire(t, LockId::new(a));
-                    }
-                    opcode::RELEASE => {
-                        self.stats.sync_ops += 1;
-                        self.release(t, LockId::new(a));
-                    }
-                    opcode::FORK => {
-                        self.stats.sync_ops += 1;
-                        self.fork(t, Tid::new(a));
-                    }
-                    opcode::JOIN => {
-                        self.stats.sync_ops += 1;
-                        self.join(t, Tid::new(a));
-                    }
-                    opcode::VOLATILE_READ => {
-                        self.stats.sync_ops += 1;
-                        self.volatile_read(t, VarId::new(a));
-                    }
-                    opcode::VOLATILE_WRITE => {
-                        self.stats.sync_ops += 1;
-                        self.volatile_write(t, VarId::new(a));
-                    }
-                    opcode::WAIT => {
-                        // §4: wait = release + subsequent acquire.
-                        self.stats.sync_ops += 1;
-                        self.release(t, LockId::new(a));
-                        self.acquire(t, LockId::new(a));
-                    }
-                    opcode::BARRIER => {
-                        self.stats.sync_ops += 1;
-                        self.barrier_release(block.barrier(a));
-                    }
-                    _ => {
-                        // NOTIFY / ATOMIC_BEGIN / ATOMIC_END: no
-                        // happens-before effect.
-                    }
-                }
+                self.sync.apply(kind, t, a, members, &mut self.stats);
             }
         }
         self.stats.reads += se_reads + ex_reads;
@@ -1391,26 +1010,8 @@ impl Detector for FastTrack {
 
     fn shadow_bytes(&self) -> usize {
         let vars: usize = self.vars.iter().map(VarState::shadow_bytes).sum();
-        let threads: usize = self
-            .threads
-            .iter()
-            .flatten()
-            .map(|ts| std::mem::size_of::<ThreadState>() + ts.vc.heap_bytes() + ts.seen_bytes())
-            .sum();
-        let locks: usize = self
-            .locks
-            .iter()
-            .flatten()
-            .map(|lk| std::mem::size_of::<LockClock>() + lk.vc.heap_bytes())
-            .sum();
-        let volatiles: usize = self
-            .volatiles
-            .iter()
-            .flatten()
-            .map(|lv| std::mem::size_of::<VolatileClock>() + lv.vc.heap_bytes())
-            .sum();
         let recorder = self.recorder.as_ref().map_or(0, FlightRecorder::bytes);
-        vars + threads + locks + volatiles + recorder
+        vars + self.sync.shadow_bytes() + recorder
     }
 
     fn rule_breakdown(&self) -> Vec<RuleCount> {
@@ -1472,7 +1073,7 @@ impl FastTrack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_trace::TraceBuilder;
+    use ft_trace::{LockId, TraceBuilder};
 
     const T0: Tid = Tid::new(0);
     const T1: Tid = Tid::new(1);

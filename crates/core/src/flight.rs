@@ -15,7 +15,6 @@
 
 use ft_clock::Tid;
 use ft_trace::batch::opcode;
-use ft_trace::Op;
 use std::fmt;
 
 /// Configuration for the flight recorder.
@@ -161,32 +160,25 @@ impl FlightRecorder {
         charged
     }
 
-    /// Records a decoded [`Op`]. A barrier release is attributed to every
-    /// party, with the party count as operand. Returns newly allocated bytes
-    /// as in [`FlightRecorder::record_raw`].
-    pub fn record_op(&mut self, index: u64, op: &Op) -> usize {
-        let (kind, tid, arg) = match *op {
-            Op::Read(t, x) => (opcode::READ, t, x.as_u32()),
-            Op::Write(t, x) => (opcode::WRITE, t, x.as_u32()),
-            Op::Acquire(t, m) => (opcode::ACQUIRE, t, m.as_u32()),
-            Op::Release(t, m) => (opcode::RELEASE, t, m.as_u32()),
-            Op::Fork(t, u) => (opcode::FORK, t, u.as_u32()),
-            Op::Join(t, u) => (opcode::JOIN, t, u.as_u32()),
-            Op::VolatileRead(t, x) => (opcode::VOLATILE_READ, t, x.as_u32()),
-            Op::VolatileWrite(t, x) => (opcode::VOLATILE_WRITE, t, x.as_u32()),
-            Op::Wait(t, m) => (opcode::WAIT, t, m.as_u32()),
-            Op::Notify(t, m) => (opcode::NOTIFY, t, m.as_u32()),
-            Op::AtomicBegin(t) => (opcode::ATOMIC_BEGIN, t, 0),
-            Op::AtomicEnd(t) => (opcode::ATOMIC_END, t, 0),
-            Op::BarrierRelease(ref parties) => {
-                let n = parties.len() as u32;
-                let mut charged = 0;
-                for &t in parties {
-                    charged += self.record_raw(t, index, opcode::BARRIER, n);
-                }
-                return charged;
-            }
-        };
+    /// Records one event from its raw fields (see [`ft_trace::Op::parts`]).
+    /// A barrier release is attributed to every one of its `parties`, with
+    /// the party count as operand. Returns newly allocated bytes as in
+    /// [`FlightRecorder::record_raw`].
+    pub fn record_event(
+        &mut self,
+        index: u64,
+        kind: u8,
+        tid: Tid,
+        arg: u32,
+        parties: &[Tid],
+    ) -> usize {
+        if kind == opcode::BARRIER {
+            let n = parties.len() as u32;
+            return parties
+                .iter()
+                .map(|&t| self.record_raw(t, index, opcode::BARRIER, n))
+                .sum();
+        }
         self.record_raw(tid, index, kind, arg)
     }
 
@@ -208,7 +200,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_trace::VarId;
+    use ft_trace::{Op, VarId};
 
     #[test]
     fn ring_keeps_last_k_in_order() {
@@ -241,7 +233,7 @@ mod tests {
     fn barrier_is_attributed_to_every_party() {
         let mut rec = FlightRecorder::new(RecorderConfig { capacity: 2 });
         let parties = vec![Tid::new(0), Tid::new(1)];
-        rec.record_op(7, &Op::BarrierRelease(parties));
+        rec.record_event(7, opcode::BARRIER, Tid::new(0), 0, &parties);
         for t in [Tid::new(0), Tid::new(1)] {
             let tail = rec.tail(t);
             assert_eq!(tail.len(), 1);
@@ -253,7 +245,8 @@ mod tests {
     #[test]
     fn display_matches_trace_syntax() {
         let mut rec = FlightRecorder::new(RecorderConfig::default());
-        rec.record_op(3, &Op::Read(Tid::new(1), VarId::new(4)));
+        let (kind, t, a, _) = Op::Read(Tid::new(1), VarId::new(4)).parts();
+        rec.record_event(3, kind, t, a, &[]);
         let tail = rec.tail(Tid::new(1));
         assert_eq!(tail[0].to_string(), "#3 rd(T1,x4)");
     }

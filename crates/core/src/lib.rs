@@ -44,6 +44,11 @@
 //!   the Figure 2 frequency annotations).
 //! * [`Empty`] — the do-nothing detector used to measure framework overhead
 //!   (the paper's EMPTY tool).
+//! * [`SyncEngine`] — the Figure 5 synchronization rules (acquire,
+//!   release, fork, join, and the §4 volatile, wait and barrier
+//!   extensions) over the thread, lock and volatile clocks, shared by every
+//!   happens-before detector: FastTrack, the `ft-sampler` tier and the
+//!   DJIT⁺/BasicVC/MultiRace baselines.
 //! * [`rules`] — the Figure 5 transition rules over one variable, shared by
 //!   the detector and the `ft-sampler` sampling tier (which replays sampled
 //!   access pairs through the exact same code).
@@ -62,6 +67,7 @@ pub mod guard;
 pub mod rules;
 mod state;
 mod stats;
+pub mod sync;
 mod warning;
 
 pub use analysis::{FastTrack, FastTrackConfig, ReadMode, TierProfile};
@@ -71,4 +77,5 @@ pub use flight::{FlightRecorder, RecordedEvent, RecorderConfig, ThreadTail};
 pub use guard::{DegradationRecord, GuardConfig, GuardTier, Precision, ShadowBudget};
 pub use state::{LockClock, ThreadState, VarState, VolatileClock, READ_SHARED};
 pub use stats::{RuleCount, Stats};
+pub use sync::SyncEngine;
 pub use warning::{warnings_to_json, AccessSummary, Provenance, ReadHistory, Warning, WarningKind};

@@ -1,7 +1,7 @@
 //! BASICVC: the traditional vector-clock race detector.
 
-use crate::vc_sync::VcSync;
-use fasttrack::{AccessSummary, Detector, Disposition, Stats, Warning, WarningKind};
+use crate::{concurrent_witness, report_once};
+use fasttrack::{Detector, Disposition, Stats, SyncEngine, Warning, WarningKind};
 use ft_clock::{Tid, VectorClock};
 use ft_trace::{AccessKind, Op, VarId};
 
@@ -20,7 +20,7 @@ struct VarClocks {
 /// the paper measures FastTrack roughly 10× faster.
 #[derive(Debug, Default)]
 pub struct BasicVc {
-    sync: VcSync,
+    sync: SyncEngine,
     vars: Vec<Option<VarClocks>>,
     warned: Vec<bool>,
     warnings: Vec<Warning>,
@@ -50,58 +50,21 @@ impl BasicVc {
         slot.as_mut().expect("just initialized")
     }
 
-    fn report(
-        &mut self,
-        x: VarId,
-        kind: WarningKind,
-        prior: (Tid, AccessKind),
-        current: (Tid, AccessKind),
-        index: usize,
-    ) {
-        let idx = x.as_usize();
-        if self.warned[idx] {
-            return;
-        }
-        self.warned[idx] = true;
-        self.warnings.push(Warning {
-            var: x,
-            kind,
-            prior: AccessSummary {
-                tid: prior.0,
-                kind: prior.1,
-                event_index: None,
-            },
-            current: AccessSummary {
-                tid: current.0,
-                kind: current.1,
-                event_index: Some(index),
-            },
-            provenance: None,
-        });
-    }
-
-    /// Some thread whose component of `prior` exceeds the observer's clock —
-    /// the witness to the race.
-    fn concurrent_witness(prior: &VectorClock, ct: &VectorClock) -> Option<Tid> {
-        prior
-            .iter_nonzero()
-            .find(|&(u, c)| c > ct.get(u))
-            .map(|(u, _)| u)
-    }
-
     fn read(&mut self, index: usize, t: Tid, x: VarId) {
         self.stats.reads += 1;
         self.sync.thread(t, &mut self.stats);
         self.var(x);
         // Write-read check: W_x ⊑ C_t (always a full O(n) comparison here).
         self.stats.vc_ops += 1;
-        let ct = self.sync.clock_of(t);
+        let ct = self.sync.clock(t);
         let vs = self.vars[x.as_usize()].as_mut().expect("ensured");
-        let racy = (!vs.w.leq(ct)).then(|| Self::concurrent_witness(&vs.w, ct));
+        let racy = (!vs.w.leq(ct)).then(|| concurrent_witness(&vs.w, ct));
         vs.r.set(t, ct.get(t));
         if let Some(witness) = racy {
             let u = witness.unwrap_or(t);
-            self.report(
+            report_once(
+                &mut self.warned,
+                &mut self.warnings,
                 x,
                 WarningKind::WriteRead,
                 (u, AccessKind::Write),
@@ -116,14 +79,16 @@ impl BasicVc {
         self.sync.thread(t, &mut self.stats);
         self.var(x);
         self.stats.vc_ops += 2; // W_x ⊑ C_t and R_x ⊑ C_t
-        let ct = self.sync.clock_of(t);
+        let ct = self.sync.clock(t);
         let vs = self.vars[x.as_usize()].as_mut().expect("ensured");
-        let racy_write = (!vs.w.leq(ct)).then(|| Self::concurrent_witness(&vs.w, ct));
-        let racy_read = (!vs.r.leq(ct)).then(|| Self::concurrent_witness(&vs.r, ct));
+        let racy_write = (!vs.w.leq(ct)).then(|| concurrent_witness(&vs.w, ct));
+        let racy_read = (!vs.r.leq(ct)).then(|| concurrent_witness(&vs.r, ct));
         vs.w.set(t, ct.get(t));
         if let Some(witness) = racy_write {
             let u = witness.unwrap_or(t);
-            self.report(
+            report_once(
+                &mut self.warned,
+                &mut self.warnings,
                 x,
                 WarningKind::WriteWrite,
                 (u, AccessKind::Write),
@@ -133,7 +98,9 @@ impl BasicVc {
         }
         if let Some(witness) = racy_read {
             let u = witness.unwrap_or(t);
-            self.report(
+            report_once(
+                &mut self.warned,
+                &mut self.warnings,
                 x,
                 WarningKind::ReadWrite,
                 (u, AccessKind::Read),
@@ -154,39 +121,7 @@ impl Detector for BasicVc {
         match op {
             Op::Read(t, x) => self.read(index, *t, *x),
             Op::Write(t, x) => self.write(index, *t, *x),
-            Op::Acquire(t, m) => {
-                self.stats.sync_ops += 1;
-                self.sync.acquire(*t, *m, &mut self.stats);
-            }
-            Op::Release(t, m) => {
-                self.stats.sync_ops += 1;
-                self.sync.release(*t, *m, &mut self.stats);
-            }
-            Op::Wait(t, m) => {
-                self.stats.sync_ops += 1;
-                self.sync.wait(*t, *m, &mut self.stats);
-            }
-            Op::Fork(t, u) => {
-                self.stats.sync_ops += 1;
-                self.sync.fork(*t, *u, &mut self.stats);
-            }
-            Op::Join(t, u) => {
-                self.stats.sync_ops += 1;
-                self.sync.join(*t, *u, &mut self.stats);
-            }
-            Op::VolatileRead(t, x) => {
-                self.stats.sync_ops += 1;
-                self.sync.volatile_read(*t, *x, &mut self.stats);
-            }
-            Op::VolatileWrite(t, x) => {
-                self.stats.sync_ops += 1;
-                self.sync.volatile_write(*t, *x, &mut self.stats);
-            }
-            Op::BarrierRelease(ts) => {
-                self.stats.sync_ops += 1;
-                self.sync.barrier_release(ts, &mut self.stats);
-            }
-            Op::Notify(..) | Op::AtomicBegin(_) | Op::AtomicEnd(_) => {}
+            _ => self.sync.apply_op(op, &mut self.stats),
         }
         Disposition::Forward
     }

@@ -1,8 +1,8 @@
 //! DJIT⁺: the high-performance vector-clock race detector (Figure 2, right
 //! column).
 
-use crate::vc_sync::VcSync;
-use fasttrack::{AccessSummary, Detector, Disposition, RuleCount, Stats, Warning, WarningKind};
+use crate::{concurrent_witness, report_once};
+use fasttrack::{Detector, Disposition, RuleCount, Stats, SyncEngine, Warning, WarningKind};
 use ft_clock::{Tid, VectorClock};
 use ft_trace::{AccessKind, Op, VarId};
 
@@ -33,7 +33,7 @@ struct RuleHits {
 /// ~22% of reads and ~29% of writes are what FastTrack's epochs eliminate.
 #[derive(Debug, Default)]
 pub struct Djit {
-    sync: VcSync,
+    sync: SyncEngine,
     vars: Vec<Option<VarClocks>>,
     warned: Vec<bool>,
     warnings: Vec<Warning>,
@@ -64,48 +64,10 @@ impl Djit {
         slot.as_mut().expect("just initialized")
     }
 
-    fn report(
-        &mut self,
-        x: VarId,
-        kind: WarningKind,
-        prior: (Tid, AccessKind),
-        current: (Tid, AccessKind),
-        index: usize,
-    ) {
-        let idx = x.as_usize();
-        if self.warned[idx] {
-            return;
-        }
-        self.warned[idx] = true;
-        self.warnings.push(Warning {
-            var: x,
-            kind,
-            prior: AccessSummary {
-                tid: prior.0,
-                kind: prior.1,
-                event_index: None,
-            },
-            current: AccessSummary {
-                tid: current.0,
-                kind: current.1,
-                event_index: Some(index),
-            },
-            provenance: None,
-        });
-    }
-
-    fn concurrent_witness(prior: &VectorClock, ct: &VectorClock) -> Option<Tid> {
-        prior
-            .iter_nonzero()
-            .find(|&(u, c)| c > ct.get(u))
-            .map(|(u, _)| u)
-    }
-
     fn read(&mut self, index: usize, t: Tid, x: VarId) {
         self.stats.reads += 1;
-        self.sync.thread(t, &mut self.stats);
+        let own = self.sync.thread(t, &mut self.stats).vc.get(t);
         self.var(x);
-        let own = self.sync.thread_ref(t, &mut self.stats).get(t);
 
         // [DJIT+ READ SAME EPOCH]: R_x(t) = C_t(t).
         if self.vars[x.as_usize()].as_ref().expect("ensured").r.get(t) == own {
@@ -116,13 +78,15 @@ impl Djit {
         // [DJIT+ READ]: W_x ⊑ C_t, then R_x(t) := C_t(t).
         self.rules.read_slow += 1;
         self.stats.vc_ops += 1;
-        let ct = self.sync.clock_of(t);
+        let ct = self.sync.clock(t);
         let vs = self.vars[x.as_usize()].as_mut().expect("ensured");
-        let racy = (!vs.w.leq(ct)).then(|| Self::concurrent_witness(&vs.w, ct));
+        let racy = (!vs.w.leq(ct)).then(|| concurrent_witness(&vs.w, ct));
         vs.r.set(t, own);
         if let Some(witness) = racy {
             let u = witness.unwrap_or(t);
-            self.report(
+            report_once(
+                &mut self.warned,
+                &mut self.warnings,
                 x,
                 WarningKind::WriteRead,
                 (u, AccessKind::Write),
@@ -134,9 +98,8 @@ impl Djit {
 
     fn write(&mut self, index: usize, t: Tid, x: VarId) {
         self.stats.writes += 1;
-        self.sync.thread(t, &mut self.stats);
+        let own = self.sync.thread(t, &mut self.stats).vc.get(t);
         self.var(x);
-        let own = self.sync.thread_ref(t, &mut self.stats).get(t);
 
         // [DJIT+ WRITE SAME EPOCH]: W_x(t) = C_t(t).
         if self.vars[x.as_usize()].as_ref().expect("ensured").w.get(t) == own {
@@ -147,14 +110,16 @@ impl Djit {
         // [DJIT+ WRITE]: W_x ⊑ C_t ∧ R_x ⊑ C_t, then W_x(t) := C_t(t).
         self.rules.write_slow += 1;
         self.stats.vc_ops += 2;
-        let ct = self.sync.clock_of(t);
+        let ct = self.sync.clock(t);
         let vs = self.vars[x.as_usize()].as_mut().expect("ensured");
-        let racy_write = (!vs.w.leq(ct)).then(|| Self::concurrent_witness(&vs.w, ct));
-        let racy_read = (!vs.r.leq(ct)).then(|| Self::concurrent_witness(&vs.r, ct));
+        let racy_write = (!vs.w.leq(ct)).then(|| concurrent_witness(&vs.w, ct));
+        let racy_read = (!vs.r.leq(ct)).then(|| concurrent_witness(&vs.r, ct));
         vs.w.set(t, own);
         if let Some(witness) = racy_write {
             let u = witness.unwrap_or(t);
-            self.report(
+            report_once(
+                &mut self.warned,
+                &mut self.warnings,
                 x,
                 WarningKind::WriteWrite,
                 (u, AccessKind::Write),
@@ -164,7 +129,9 @@ impl Djit {
         }
         if let Some(witness) = racy_read {
             let u = witness.unwrap_or(t);
-            self.report(
+            report_once(
+                &mut self.warned,
+                &mut self.warnings,
                 x,
                 WarningKind::ReadWrite,
                 (u, AccessKind::Read),
@@ -201,39 +168,7 @@ impl Detector for Djit {
                     Disposition::Suppress
                 };
             }
-            Op::Acquire(t, m) => {
-                self.stats.sync_ops += 1;
-                self.sync.acquire(*t, *m, &mut self.stats);
-            }
-            Op::Release(t, m) => {
-                self.stats.sync_ops += 1;
-                self.sync.release(*t, *m, &mut self.stats);
-            }
-            Op::Wait(t, m) => {
-                self.stats.sync_ops += 1;
-                self.sync.wait(*t, *m, &mut self.stats);
-            }
-            Op::Fork(t, u) => {
-                self.stats.sync_ops += 1;
-                self.sync.fork(*t, *u, &mut self.stats);
-            }
-            Op::Join(t, u) => {
-                self.stats.sync_ops += 1;
-                self.sync.join(*t, *u, &mut self.stats);
-            }
-            Op::VolatileRead(t, x) => {
-                self.stats.sync_ops += 1;
-                self.sync.volatile_read(*t, *x, &mut self.stats);
-            }
-            Op::VolatileWrite(t, x) => {
-                self.stats.sync_ops += 1;
-                self.sync.volatile_write(*t, *x, &mut self.stats);
-            }
-            Op::BarrierRelease(ts) => {
-                self.stats.sync_ops += 1;
-                self.sync.barrier_release(ts, &mut self.stats);
-            }
-            Op::Notify(..) | Op::AtomicBegin(_) | Op::AtomicEnd(_) => {}
+            _ => self.sync.apply_op(op, &mut self.stats),
         }
         Disposition::Forward
     }

@@ -16,9 +16,11 @@
 //! * [`Goldilocks`] — the lockset-transfer race detector (Elmas, Qadeer &
 //!   Tasiran), implemented with per-reader locksets and a lazily replayed
 //!   synchronization log.
-//! * [`RaceTrack`] — an extension beyond the paper's Table 1: the adaptive
-//!   lockset/threadset hybrid (Yu, Rodeheffer & Chen) the paper's related
-//!   work discusses.
+//!
+//! BasicVC, DJIT⁺ and MultiRace handle synchronization through FastTrack's
+//! own [`fasttrack::SyncEngine`] — the same thread, lock and volatile clocks
+//! and the same handlers — so the comparison measures access handling
+//! only, as the paper's shared framework does.
 //!
 //! The precise detectors (BasicVC, DJIT⁺, Goldilocks) report races on
 //! exactly the same variables as FastTrack and the happens-before oracle —
@@ -38,8 +40,6 @@ mod eraser;
 mod goldilocks;
 mod lockset;
 mod multirace;
-mod racetrack;
-mod vc_sync;
 
 pub use basicvc::BasicVc;
 pub use djit::Djit;
@@ -47,11 +47,12 @@ pub use eraser::{Eraser, EraserConfig, VarPhase};
 pub use goldilocks::Goldilocks;
 pub use lockset::LockSet;
 pub use multirace::MultiRace;
-pub use racetrack::RaceTrack;
 
 pub use fasttrack::{Detector, Disposition, Empty, FastTrack};
 
-use ft_trace::Trace;
+use fasttrack::{AccessSummary, Warning, WarningKind};
+use ft_clock::{Tid, VectorClock};
+use ft_trace::{AccessKind, Trace, VarId};
 
 /// Every tool of the paper's Table 1, freshly constructed, in the paper's
 /// column order: EMPTY, ERASER, MULTIRACE, GOLDILOCKS, BASICVC, DJIT⁺,
@@ -78,4 +79,45 @@ pub fn run_all(trace: &Trace) -> Vec<Box<dyn fasttrack::Detector>> {
         }
     }
     tools
+}
+
+/// Some thread whose component of `prior` exceeds the observer's clock
+/// `ct`: the witness to a race on a vector-clock access history.
+fn concurrent_witness(prior: &VectorClock, ct: &VectorClock) -> Option<Tid> {
+    prior
+        .iter_nonzero()
+        .find(|&(u, c)| c > ct.get(u))
+        .map(|(u, _)| u)
+}
+
+/// Records a happens-before race on `x` unless `x` already has a warning
+/// (the paper's tools "report at most one race for each field"); `warned`
+/// must cover `x`.
+fn report_once(
+    warned: &mut [bool],
+    warnings: &mut Vec<Warning>,
+    x: VarId,
+    kind: WarningKind,
+    prior: (Tid, AccessKind),
+    current: (Tid, AccessKind),
+    index: usize,
+) {
+    if std::mem::replace(&mut warned[x.as_usize()], true) {
+        return;
+    }
+    warnings.push(Warning {
+        var: x,
+        kind,
+        prior: AccessSummary {
+            tid: prior.0,
+            kind: prior.1,
+            event_index: None,
+        },
+        current: AccessSummary {
+            tid: current.0,
+            kind: current.1,
+            event_index: Some(index),
+        },
+        provenance: None,
+    });
 }

@@ -2,8 +2,8 @@
 
 use crate::eraser::VarPhase;
 use crate::lockset::LockSet;
-use crate::vc_sync::VcSync;
-use fasttrack::{AccessSummary, Detector, Disposition, RuleCount, Stats, Warning, WarningKind};
+use crate::{concurrent_witness, report_once};
+use fasttrack::{Detector, Disposition, RuleCount, Stats, SyncEngine, Warning, WarningKind};
 use ft_clock::{Tid, VectorClock};
 use ft_trace::{AccessKind, Op, VarId};
 
@@ -51,7 +51,7 @@ struct RuleHits {
 /// FastTrack's 8).
 #[derive(Debug, Default)]
 pub struct MultiRace {
-    sync: VcSync,
+    sync: SyncEngine,
     vars: Vec<Option<MrVar>>,
     held: Vec<LockSet>,
     warned: Vec<bool>,
@@ -94,52 +94,14 @@ impl MultiRace {
         slot.as_mut().expect("just initialized")
     }
 
-    fn report(
-        &mut self,
-        x: VarId,
-        kind: WarningKind,
-        prior: (Tid, AccessKind),
-        current: (Tid, AccessKind),
-        index: usize,
-    ) {
-        let idx = x.as_usize();
-        if self.warned[idx] {
-            return;
-        }
-        self.warned[idx] = true;
-        self.warnings.push(Warning {
-            var: x,
-            kind,
-            prior: AccessSummary {
-                tid: prior.0,
-                kind: prior.1,
-                event_index: None,
-            },
-            current: AccessSummary {
-                tid: current.0,
-                kind: current.1,
-                event_index: Some(index),
-            },
-            provenance: None,
-        });
-    }
-
-    fn concurrent_witness(prior: &VectorClock, ct: &VectorClock) -> Option<Tid> {
-        prior
-            .iter_nonzero()
-            .find(|&(u, c)| c > ct.get(u))
-            .map(|(u, _)| u)
-    }
-
     fn access(&mut self, index: usize, t: Tid, x: VarId, kind: AccessKind) {
         match kind {
             AccessKind::Read => self.stats.reads += 1,
             AccessKind::Write => self.stats.writes += 1,
         }
         self.held(t);
-        self.sync.thread(t, &mut self.stats);
+        let own = self.sync.thread(t, &mut self.stats).vc.get(t);
         self.var(x);
-        let own = self.sync.thread_ref(t, &mut self.stats).get(t);
 
         // Same-epoch fast path (shared with DJIT+): nothing to do, not even
         // lockset maintenance — "the lock set is updated on the first access
@@ -205,7 +167,7 @@ impl MultiRace {
 
         // Lockset empty: confirm (or refute) with full VC comparisons.
         self.rules.vc_checks += 1;
-        let ct = self.sync.clock_of(t);
+        let ct = self.sync.clock(t);
         let vs = self.vars[x.as_usize()].as_mut().expect("ensured");
         let mut racy_witness: Option<(WarningKind, Option<Tid>)> = None;
         let mut racy_read_witness: Option<Option<Tid>> = None;
@@ -214,30 +176,38 @@ impl MultiRace {
                 self.stats.vc_ops += 1;
                 // The write clock is what matters for a read.
                 if !vs.w.leq(ct) {
-                    racy_witness =
-                        Some((WarningKind::WriteRead, Self::concurrent_witness(&vs.w, ct)));
+                    racy_witness = Some((WarningKind::WriteRead, concurrent_witness(&vs.w, ct)));
                 }
             }
             AccessKind::Write => {
                 self.stats.vc_ops += 2;
                 // Our own slot was just set to `own`, which trivially ⊑ C_t.
                 if !vs.w.leq(ct) {
-                    racy_witness =
-                        Some((WarningKind::WriteWrite, Self::concurrent_witness(&vs.w, ct)));
+                    racy_witness = Some((WarningKind::WriteWrite, concurrent_witness(&vs.w, ct)));
                 }
                 if !vs.r.leq(ct) {
-                    racy_read_witness = Some(Self::concurrent_witness(&vs.r, ct));
+                    racy_read_witness = Some(concurrent_witness(&vs.r, ct));
                 }
             }
         }
         vs.last = Some((t, kind));
         if let Some((warn_kind, witness)) = racy_witness {
             let u = witness.unwrap_or(t);
-            self.report(x, warn_kind, (u, AccessKind::Write), (t, kind), index);
+            report_once(
+                &mut self.warned,
+                &mut self.warnings,
+                x,
+                warn_kind,
+                (u, AccessKind::Write),
+                (t, kind),
+                index,
+            );
         }
         if let Some(witness) = racy_read_witness {
             let u = witness.unwrap_or(t);
-            self.report(
+            report_once(
+                &mut self.warned,
+                &mut self.warnings,
                 x,
                 WarningKind::ReadWrite,
                 (u, AccessKind::Read),
@@ -248,7 +218,7 @@ impl MultiRace {
     }
 
     /// Barrier reset of the Eraser half (the VC half handles barriers
-    /// natively through `VcSync`). O(1) generation bump; stale states
+    /// natively through the `SyncEngine`). O(1) generation bump; stale states
     /// lazily reset on next access.
     fn barrier_reset_phases(&mut self) {
         self.generation += 1;
@@ -265,42 +235,19 @@ impl Detector for MultiRace {
         match op {
             Op::Read(t, x) => self.access(index, *t, *x, AccessKind::Read),
             Op::Write(t, x) => self.access(index, *t, *x, AccessKind::Write),
-            Op::Acquire(t, m) => {
-                self.stats.sync_ops += 1;
-                self.held(*t).insert(*m);
-                self.sync.acquire(*t, *m, &mut self.stats);
+            _ => {
+                match *op {
+                    Op::Acquire(t, m) => {
+                        self.held(t).insert(m);
+                    }
+                    Op::Release(t, m) => {
+                        self.held(t).remove(m);
+                    }
+                    Op::BarrierRelease(_) => self.barrier_reset_phases(),
+                    _ => {}
+                }
+                self.sync.apply_op(op, &mut self.stats);
             }
-            Op::Release(t, m) => {
-                self.stats.sync_ops += 1;
-                self.held(*t).remove(*m);
-                self.sync.release(*t, *m, &mut self.stats);
-            }
-            Op::Wait(t, m) => {
-                self.stats.sync_ops += 1;
-                self.sync.wait(*t, *m, &mut self.stats);
-            }
-            Op::Fork(t, u) => {
-                self.stats.sync_ops += 1;
-                self.sync.fork(*t, *u, &mut self.stats);
-            }
-            Op::Join(t, u) => {
-                self.stats.sync_ops += 1;
-                self.sync.join(*t, *u, &mut self.stats);
-            }
-            Op::VolatileRead(t, x) => {
-                self.stats.sync_ops += 1;
-                self.sync.volatile_read(*t, *x, &mut self.stats);
-            }
-            Op::VolatileWrite(t, x) => {
-                self.stats.sync_ops += 1;
-                self.sync.volatile_write(*t, *x, &mut self.stats);
-            }
-            Op::BarrierRelease(ts) => {
-                self.stats.sync_ops += 1;
-                self.sync.barrier_release(ts, &mut self.stats);
-                self.barrier_reset_phases();
-            }
-            Op::Notify(..) | Op::AtomicBegin(_) | Op::AtomicEnd(_) => {}
         }
         Disposition::Forward
     }

@@ -11,9 +11,6 @@
 //!   see them.
 //! * [`ThreadLocalFilter`] — the "TL" prefilter of §5.2 that drops accesses
 //!   to data touched by a single thread.
-//! * [`ReentrancyFilter`] — RoadRunner filters out re-entrant lock
-//!   acquires/releases "(which are redundant) … to simplify these analyses";
-//!   this does the same for raw event streams.
 //! * [`coarsen`] — the coarse-grain analysis adapter of §4 ("Granularity"):
 //!   all fields of an object collapse to a single shadow location.
 //! * [`sim`] — a deterministic multithreaded program simulator: scriptable
@@ -34,7 +31,6 @@ mod granularity;
 pub mod online;
 mod pipeline;
 mod recorder;
-mod reentrant;
 pub mod sim;
 pub mod stream;
 mod tl_filter;
@@ -42,6 +38,5 @@ mod tl_filter;
 pub use granularity::coarsen;
 pub use pipeline::{run_pipeline, Pipeline, StageReport};
 pub use recorder::{Recorder, RecorderHandle};
-pub use reentrant::ReentrancyFilter;
 pub use stream::analyze_stream;
 pub use tl_filter::ThreadLocalFilter;

@@ -67,8 +67,7 @@ impl RecorderHandle {
     ///
     /// Returns a [`FeasibilityError`] if the recorded stream is not a
     /// feasible trace (possible only if the recorded source emitted raw,
-    /// e.g. re-entrant, events — normalize with
-    /// [`crate::ReentrancyFilter`] first).
+    /// e.g. re-entrant, events).
     pub fn to_trace(&self) -> Result<Trace, FeasibilityError> {
         ft_trace::validate(&self.events.lock().unwrap_or_else(|e| e.into_inner()))
     }

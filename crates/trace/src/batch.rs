@@ -146,24 +146,9 @@ impl EventBlock {
 
     /// Appends an [`Op`].
     pub fn push_op(&mut self, op: &Op) {
-        match *op {
-            Op::Read(t, x) => self.push_simple(opcode::READ, t.as_u32(), x.as_u32()),
-            Op::Write(t, x) => self.push_simple(opcode::WRITE, t.as_u32(), x.as_u32()),
-            Op::Acquire(t, m) => self.push_simple(opcode::ACQUIRE, t.as_u32(), m.as_u32()),
-            Op::Release(t, m) => self.push_simple(opcode::RELEASE, t.as_u32(), m.as_u32()),
-            Op::Fork(t, u) => self.push_simple(opcode::FORK, t.as_u32(), u.as_u32()),
-            Op::Join(t, u) => self.push_simple(opcode::JOIN, t.as_u32(), u.as_u32()),
-            Op::VolatileRead(t, x) => {
-                self.push_simple(opcode::VOLATILE_READ, t.as_u32(), x.as_u32())
-            }
-            Op::VolatileWrite(t, x) => {
-                self.push_simple(opcode::VOLATILE_WRITE, t.as_u32(), x.as_u32())
-            }
-            Op::Wait(t, m) => self.push_simple(opcode::WAIT, t.as_u32(), m.as_u32()),
-            Op::Notify(t, m) => self.push_simple(opcode::NOTIFY, t.as_u32(), m.as_u32()),
-            Op::AtomicBegin(t) => self.push_simple(opcode::ATOMIC_BEGIN, t.as_u32(), 0),
-            Op::AtomicEnd(t) => self.push_simple(opcode::ATOMIC_END, t.as_u32(), 0),
-            Op::BarrierRelease(ref members) => self.push_barrier(members.clone()),
+        match op.parts() {
+            (opcode::BARRIER, _, _, members) => self.push_barrier(members.to_vec()),
+            (kind, t, a, _) => self.push_simple(kind, t.as_u32(), a),
         }
     }
 

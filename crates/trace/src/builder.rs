@@ -1,6 +1,7 @@
 //! Incremental trace construction with feasibility enforcement (§2.1).
 
 use crate::event::{LockId, ObjId, Op, VarId};
+use crate::ids::IdBounds;
 use crate::trace::Trace;
 use ft_clock::Tid;
 use std::collections::HashMap;
@@ -79,6 +80,14 @@ pub enum FeasibilityError {
         /// Index of the offending event.
         index: usize,
     },
+    /// A thread id above [`ft_clock::MAX_TID`], or a variable or lock id
+    /// far beyond every id of its kind so far (see [`TraceBuilder::push`]).
+    IdOutOfRange {
+        /// Index of the offending event.
+        index: usize,
+        /// Which id and why.
+        reason: String,
+    },
 }
 
 impl fmt::Display for FeasibilityError {
@@ -126,6 +135,9 @@ impl fmt::Display for FeasibilityError {
                     f,
                     "event {index}: barrier release set is empty or has duplicates"
                 )
+            }
+            FeasibilityError::IdOutOfRange { index, reason } => {
+                write!(f, "event {index}: {reason}")
             }
         }
     }
@@ -179,6 +191,8 @@ pub struct TraceBuilder {
     n_vars: u32,
     n_locks: u32,
     var_objects: HashMap<VarId, ObjId>,
+    /// Id high-water marks (or the declared spaces) for admission.
+    ids: IdBounds,
 }
 
 impl TraceBuilder {
@@ -232,14 +246,32 @@ impl TraceBuilder {
         self.n_locks = self.n_locks.max(m.as_u32() + 1);
     }
 
+    /// A builder whose id admission starts from a declared variable and
+    /// lock space (a deserialized trace's metadata).
+    pub(crate) fn with_declared_ids(n_vars: u32, n_locks: u32) -> Self {
+        TraceBuilder {
+            ids: IdBounds::declared(n_vars, n_locks),
+            ..Self::default()
+        }
+    }
+
     /// Appends an arbitrary operation, checking feasibility.
     ///
     /// # Errors
     ///
     /// Returns a [`FeasibilityError`] (and leaves the builder unchanged) if
-    /// the operation violates the §2.1 constraints.
+    /// the operation violates the §2.1 constraints, or
+    /// [`FeasibilityError::IdOutOfRange`] for a thread id above
+    /// [`ft_clock::MAX_TID`] or a variable or lock id more than 2¹⁶ past
+    /// every id of its kind so far (and past the declared space, for a
+    /// deserialized trace): detectors size their tables by id.
     pub fn push(&mut self, op: Op) -> Result<(), FeasibilityError> {
         let index = self.events.len();
+        let mut ids = self.ids;
+        let (kind, t, a, members) = op.parts();
+        ids.admit(kind, t.as_u32(), a)
+            .and_then(|()| IdBounds::admit_members(members))
+            .map_err(|reason| FeasibilityError::IdOutOfRange { index, reason })?;
         match &op {
             Op::Read(t, x) | Op::Write(t, x) => {
                 self.step(*t)?;
@@ -344,6 +376,7 @@ impl TraceBuilder {
             }
         }
         self.events.push(op);
+        self.ids = ids;
         Ok(())
     }
 

@@ -1,5 +1,6 @@
 //! Trace operations (Figure 1 of the paper, plus the §4 extensions).
 
+use crate::batch::opcode;
 use ft_clock::Tid;
 use std::fmt;
 
@@ -231,6 +232,55 @@ impl Op {
             self,
             Op::Read(..) | Op::Write(..) | Op::AtomicBegin(_) | Op::AtomicEnd(_) | Op::Notify(..)
         )
+    }
+
+    /// The raw `(kind, thread, argument, barrier members)` fields of this
+    /// operation, in the [`opcode`] encoding shared with
+    /// [`EventBlock`](crate::EventBlock) and the `.ftb` format. A barrier
+    /// release has thread 0 and its member count as argument; every other
+    /// operation has no members, and the atomic markers have argument 0.
+    #[inline]
+    pub fn parts(&self) -> (u8, Tid, u32, &[Tid]) {
+        match *self {
+            Op::Read(t, x) => (opcode::READ, t, x.as_u32(), &[]),
+            Op::Write(t, x) => (opcode::WRITE, t, x.as_u32(), &[]),
+            Op::Acquire(t, m) => (opcode::ACQUIRE, t, m.as_u32(), &[]),
+            Op::Release(t, m) => (opcode::RELEASE, t, m.as_u32(), &[]),
+            Op::Fork(t, u) => (opcode::FORK, t, u.as_u32(), &[]),
+            Op::Join(t, u) => (opcode::JOIN, t, u.as_u32(), &[]),
+            Op::VolatileRead(t, x) => (opcode::VOLATILE_READ, t, x.as_u32(), &[]),
+            Op::VolatileWrite(t, x) => (opcode::VOLATILE_WRITE, t, x.as_u32(), &[]),
+            Op::Wait(t, m) => (opcode::WAIT, t, m.as_u32(), &[]),
+            Op::Notify(t, m) => (opcode::NOTIFY, t, m.as_u32(), &[]),
+            Op::AtomicBegin(t) => (opcode::ATOMIC_BEGIN, t, 0, &[]),
+            Op::AtomicEnd(t) => (opcode::ATOMIC_END, t, 0, &[]),
+            Op::BarrierRelease(ref members) => {
+                (opcode::BARRIER, Tid::new(0), members.len() as u32, members)
+            }
+        }
+    }
+
+    /// The operation with raw fields `kind`, `t` and `a`: the inverse of
+    /// [`Op::parts`] for every kind except a barrier release, whose members
+    /// live outside the three fields. `None` for a barrier or an unknown
+    /// kind.
+    #[inline]
+    pub fn from_parts(kind: u8, t: Tid, a: u32) -> Option<Op> {
+        Some(match kind {
+            opcode::READ => Op::Read(t, VarId::new(a)),
+            opcode::WRITE => Op::Write(t, VarId::new(a)),
+            opcode::ACQUIRE => Op::Acquire(t, LockId::new(a)),
+            opcode::RELEASE => Op::Release(t, LockId::new(a)),
+            opcode::FORK => Op::Fork(t, Tid::new(a)),
+            opcode::JOIN => Op::Join(t, Tid::new(a)),
+            opcode::VOLATILE_READ => Op::VolatileRead(t, VarId::new(a)),
+            opcode::VOLATILE_WRITE => Op::VolatileWrite(t, VarId::new(a)),
+            opcode::WAIT => Op::Wait(t, LockId::new(a)),
+            opcode::NOTIFY => Op::Notify(t, LockId::new(a)),
+            opcode::ATOMIC_BEGIN => Op::AtomicBegin(t),
+            opcode::ATOMIC_END => Op::AtomicEnd(t),
+            _ => return None,
+        })
     }
 }
 

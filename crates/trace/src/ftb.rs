@@ -40,9 +40,10 @@
 //! [`FtbWriter::write_op`] rejects wider tids rather than truncating.
 
 use crate::batch::{opcode, EventBlock};
-use crate::event::{LockId, ObjId, Op, VarId};
+use crate::event::{ObjId, Op, VarId};
+use crate::ids::IdBounds;
 use crate::serial::TraceFormatError;
-use crate::trace::{validate, Trace};
+use crate::trace::{validate_declared, Trace};
 use ft_clock::Tid;
 use std::error::Error;
 use std::fmt;
@@ -95,7 +96,7 @@ impl From<io::Error> for FtbError {
     }
 }
 
-fn format_err(msg: impl Into<String>) -> FtbError {
+pub(crate) fn format_err(msg: impl Into<String>) -> FtbError {
     FtbError::Format(msg.into())
 }
 
@@ -112,6 +113,60 @@ pub struct FtbHeader {
     pub n_locks: u32,
     /// Record count, or `None` for open-ended streams (read to EOF).
     pub n_records: Option<u64>,
+}
+
+/// Validates a fixed header, returning it and whether a var_objects table
+/// follows.
+pub(crate) fn parse_header(header: &[u8; FTB_HEADER_BYTES]) -> Result<(FtbHeader, bool), FtbError> {
+    if header[0..4] != FTB_MAGIC {
+        return Err(format_err("bad magic (not a .ftb stream)"));
+    }
+    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let version = word(4);
+    if version != FTB_VERSION {
+        return Err(format_err(format!(
+            "unsupported version {version} (this build reads {FTB_VERSION})"
+        )));
+    }
+    let flags = word(20);
+    if flags & !FLAG_VAR_OBJECTS != 0 {
+        return Err(format_err(format!("unknown flag bits {flags:#x}")));
+    }
+    let n_records = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
+    let header = FtbHeader {
+        version,
+        n_threads: word(8),
+        n_vars: word(12),
+        n_locks: word(16),
+        n_records: (n_records != N_RECORDS_STREAM).then_some(n_records),
+    };
+    Ok((header, flags & FLAG_VAR_OBJECTS != 0))
+}
+
+/// Appends the one or two member tids of barrier continuation record `rec`
+/// to `members`, which may not grow past `count`; each member passes the
+/// thread id check.
+pub(crate) fn push_barrier_members(
+    rec: &[u8; FTB_RECORD_BYTES],
+    members: &mut Vec<Tid>,
+    count: usize,
+) -> Result<(), FtbError> {
+    if rec[0] != opcode::BARRIER_CONT {
+        return Err(format_err(format!(
+            "expected barrier continuation, found opcode {}",
+            rec[0]
+        )));
+    }
+    let in_rec = rec[1] as usize;
+    if in_rec == 0 || in_rec > 2 || members.len() + in_rec > count {
+        return Err(format_err("barrier continuation member count out of range"));
+    }
+    for at in [4, 8].into_iter().take(in_rec) {
+        let t = u32::from_le_bytes(rec[at..at + 4].try_into().expect("4 bytes"));
+        IdBounds::admit_tid(t).map_err(format_err)?;
+        members.push(Tid::new(t));
+    }
+    Ok(())
 }
 
 /// Streaming encoder: writes the header up front, then one call per event.
@@ -180,42 +235,27 @@ impl<W: Write> FtbWriter<W> {
 
     /// Appends one event to the stream.
     pub fn write_op(&mut self, op: &Op) -> Result<(), FtbError> {
-        let rec = match *op {
-            Op::Read(t, x) => record(opcode::READ, 0, t.as_u32(), x.as_u32(), 0)?,
-            Op::Write(t, x) => record(opcode::WRITE, 0, t.as_u32(), x.as_u32(), 0)?,
-            Op::Acquire(t, m) => record(opcode::ACQUIRE, 0, t.as_u32(), m.as_u32(), 0)?,
-            Op::Release(t, m) => record(opcode::RELEASE, 0, t.as_u32(), m.as_u32(), 0)?,
-            Op::Fork(t, u) => record(opcode::FORK, 0, t.as_u32(), u.as_u32(), 0)?,
-            Op::Join(t, u) => record(opcode::JOIN, 0, t.as_u32(), u.as_u32(), 0)?,
-            Op::VolatileRead(t, x) => record(opcode::VOLATILE_READ, 0, t.as_u32(), x.as_u32(), 0)?,
-            Op::VolatileWrite(t, x) => {
-                record(opcode::VOLATILE_WRITE, 0, t.as_u32(), x.as_u32(), 0)?
-            }
-            Op::Wait(t, m) => record(opcode::WAIT, 0, t.as_u32(), m.as_u32(), 0)?,
-            Op::Notify(t, m) => record(opcode::NOTIFY, 0, t.as_u32(), m.as_u32(), 0)?,
-            Op::AtomicBegin(t) => record(opcode::ATOMIC_BEGIN, 0, t.as_u32(), 0, 0)?,
-            Op::AtomicEnd(t) => record(opcode::ATOMIC_END, 0, t.as_u32(), 0, 0)?,
-            Op::BarrierRelease(ref members) => {
-                let head = record(opcode::BARRIER, 0, 0, members.len() as u32, 0)?;
-                self.out.write_all(&head)?;
-                self.records += 1;
-                for pair in members.chunks(2) {
-                    let second = pair.get(1).map_or(0, |t| t.as_u32());
-                    let cont = record(
-                        opcode::BARRIER_CONT,
-                        pair.len() as u8,
-                        0,
-                        pair[0].as_u32(),
-                        second,
-                    )?;
-                    self.out.write_all(&cont)?;
-                    self.records += 1;
-                }
-                return Ok(());
-            }
-        };
-        self.out.write_all(&rec)?;
+        let (kind, t, arg, members) = op.parts();
+        if kind != opcode::BARRIER {
+            self.out.write_all(&record(kind, 0, t.as_u32(), arg, 0)?)?;
+            self.records += 1;
+            return Ok(());
+        }
+        self.out
+            .write_all(&record(opcode::BARRIER, 0, 0, arg, 0)?)?;
         self.records += 1;
+        for pair in members.chunks(2) {
+            let second = pair.get(1).map_or(0, |t| t.as_u32());
+            let cont = record(
+                opcode::BARRIER_CONT,
+                pair.len() as u8,
+                0,
+                pair[0].as_u32(),
+                second,
+            )?;
+            self.out.write_all(&cont)?;
+            self.records += 1;
+        }
         Ok(())
     }
 
@@ -247,6 +287,8 @@ pub struct FtbReader<R: Read> {
     var_objects: Vec<ObjId>,
     /// Records left per the header, or `None` for read-to-EOF streams.
     remaining: Option<u64>,
+    /// Id high-water marks, seeded from the header's declared spaces.
+    ids: IdBounds,
 }
 
 impl<R: Read> FtbReader<R> {
@@ -258,25 +300,11 @@ impl<R: Read> FtbReader<R> {
             io::ErrorKind::UnexpectedEof => format_err("truncated header"),
             _ => FtbError::Io(e),
         })?;
-        if header[0..4] != FTB_MAGIC {
-            return Err(format_err("bad magic (not a .ftb stream)"));
-        }
-        let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
-        let version = word(4);
-        if version != FTB_VERSION {
-            return Err(format_err(format!(
-                "unsupported version {version} (this build reads {FTB_VERSION})"
-            )));
-        }
-        let (n_threads, n_vars, n_locks, flags) = (word(8), word(12), word(16), word(20));
-        if flags & !FLAG_VAR_OBJECTS != 0 {
-            return Err(format_err(format!("unknown flag bits {flags:#x}")));
-        }
-        let n_records = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
+        let (header, has_var_objects) = parse_header(&header)?;
         let mut var_objects = Vec::new();
-        if flags & FLAG_VAR_OBJECTS != 0 {
+        if has_var_objects {
             let mut buf = [0u8; 4];
-            for _ in 0..n_vars {
+            for _ in 0..header.n_vars {
                 input
                     .read_exact(&mut buf)
                     .map_err(|_| format_err("truncated var_objects table"))?;
@@ -285,15 +313,10 @@ impl<R: Read> FtbReader<R> {
         }
         Ok(FtbReader {
             input,
-            header: FtbHeader {
-                version,
-                n_threads,
-                n_vars,
-                n_locks,
-                n_records: (n_records != N_RECORDS_STREAM).then_some(n_records),
-            },
             var_objects,
-            remaining: (n_records != N_RECORDS_STREAM).then_some(n_records),
+            remaining: header.n_records,
+            ids: IdBounds::declared(header.n_vars, header.n_locks),
+            header,
         })
     }
 
@@ -353,29 +376,15 @@ impl<R: Read> FtbReader<R> {
                     let Some(cont) = self.read_record()? else {
                         return Err(format_err("barrier truncated mid-member-list"));
                     };
-                    if cont[0] != opcode::BARRIER_CONT {
-                        return Err(format_err(format!(
-                            "expected barrier continuation, found opcode {}",
-                            cont[0]
-                        )));
-                    }
-                    let in_rec = cont[1] as usize;
-                    if in_rec == 0 || in_rec > 2 || members.len() + in_rec > count {
-                        return Err(format_err("barrier continuation member count out of range"));
-                    }
-                    members.push(Tid::new(u32::from_le_bytes(
-                        cont[4..8].try_into().expect("4 bytes"),
-                    )));
-                    if in_rec == 2 {
-                        members.push(Tid::new(u32::from_le_bytes(
-                            cont[8..12].try_into().expect("4 bytes"),
-                        )));
-                    }
+                    push_barrier_members(&cont, &mut members, count)?;
                 }
                 Ok(Some(Rec::Barrier(members)))
             }
             opcode::BARRIER_CONT => Err(format_err("orphan barrier continuation record")),
-            k if k < opcode::BARRIER => Ok(Some(Rec::Simple { kind, tid, arg })),
+            k if k < opcode::BARRIER => {
+                self.ids.admit(kind, tid, arg).map_err(format_err)?;
+                Ok(Some(Rec::Simple { kind, tid, arg }))
+            }
             k => Err(format_err(format!("unknown opcode {k}"))),
         }
     }
@@ -385,21 +394,7 @@ impl<R: Read> FtbReader<R> {
         Ok(self.next_rec()?.map(|rec| match rec {
             Rec::Barrier(members) => Op::BarrierRelease(members),
             Rec::Simple { kind, tid, arg } => {
-                let t = Tid::new(tid);
-                match kind {
-                    opcode::READ => Op::Read(t, VarId::new(arg)),
-                    opcode::WRITE => Op::Write(t, VarId::new(arg)),
-                    opcode::ACQUIRE => Op::Acquire(t, LockId::new(arg)),
-                    opcode::RELEASE => Op::Release(t, LockId::new(arg)),
-                    opcode::FORK => Op::Fork(t, Tid::new(arg)),
-                    opcode::JOIN => Op::Join(t, Tid::new(arg)),
-                    opcode::VOLATILE_READ => Op::VolatileRead(t, VarId::new(arg)),
-                    opcode::VOLATILE_WRITE => Op::VolatileWrite(t, VarId::new(arg)),
-                    opcode::WAIT => Op::Wait(t, LockId::new(arg)),
-                    opcode::NOTIFY => Op::Notify(t, LockId::new(arg)),
-                    opcode::ATOMIC_BEGIN => Op::AtomicBegin(t),
-                    _ => Op::AtomicEnd(t),
-                }
+                Op::from_parts(kind, Tid::new(tid), arg).expect("next_rec checked the kind")
             }
         }))
     }
@@ -484,8 +479,9 @@ impl Trace {
         while let Some(op) = reader.next_op()? {
             events.push(op);
         }
-        let mut trace = validate(&events)?;
-        trace.n_threads = trace.n_threads.max(reader.header().n_threads);
+        let header = reader.header();
+        let mut trace = validate_declared(&events, header.n_vars, header.n_locks)?;
+        trace.n_threads = trace.n_threads.max(header.n_threads);
         let var_objects = reader.var_objects();
         if !var_objects.is_empty() {
             let mut objects = var_objects.to_vec();
@@ -504,6 +500,8 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::builder::TraceBuilder;
+    use crate::event::LockId;
+    use crate::trace::validate;
 
     fn sample_trace() -> Trace {
         let (t0, t1) = (Tid::new(0), Tid::new(1));

@@ -31,16 +31,13 @@
 //! ```
 
 use crate::batch::opcode;
-use crate::event::{LockId, ObjId, Op, VarId};
-use crate::ftb::{FtbError, FtbHeader, FTB_HEADER_BYTES, FTB_MAGIC, FTB_RECORD_BYTES, FTB_VERSION};
+use crate::event::{ObjId, Op};
+use crate::ftb::{
+    format_err, parse_header, push_barrier_members, FtbError, FtbHeader, FTB_HEADER_BYTES,
+    FTB_RECORD_BYTES,
+};
+use crate::ids::IdBounds;
 use ft_clock::Tid;
-
-const FLAG_VAR_OBJECTS: u32 = 1;
-const N_RECORDS_STREAM: u64 = u64::MAX;
-
-fn format_err(msg: impl Into<String>) -> FtbError {
-    FtbError::Format(msg.into())
-}
 
 /// Where the decoder is in the stream grammar.
 #[derive(Debug)]
@@ -73,6 +70,8 @@ pub struct FtbDecoder {
     barrier: Option<(Vec<Tid>, usize)>,
     /// Records left per the header, `None` for open-ended streams.
     remaining: Option<u64>,
+    /// Id high-water marks, seeded from the header's declared spaces.
+    ids: IdBounds,
     events: u64,
 }
 
@@ -93,6 +92,7 @@ impl FtbDecoder {
             var_objects: Vec::new(),
             barrier: None,
             remaining: None,
+            ids: IdBounds::default(),
             events: 0,
         }
     }
@@ -154,39 +154,17 @@ impl FtbDecoder {
                     };
                     let header: [u8; FTB_HEADER_BYTES] =
                         bytes.try_into().expect("exact header length");
-                    if header[0..4] != FTB_MAGIC {
-                        return Err(format_err("bad magic (not a .ftb stream)"));
-                    }
-                    let word =
-                        |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4"));
-                    let version = word(4);
-                    if version != FTB_VERSION {
-                        return Err(format_err(format!(
-                            "unsupported version {version} (this build reads {FTB_VERSION})"
-                        )));
-                    }
-                    let (n_threads, n_vars, n_locks, flags) =
-                        (word(8), word(12), word(16), word(20));
-                    if flags & !FLAG_VAR_OBJECTS != 0 {
-                        return Err(format_err(format!("unknown flag bits {flags:#x}")));
-                    }
-                    let n_records = u64::from_le_bytes(header[24..32].try_into().expect("8"));
-                    let n_records = (n_records != N_RECORDS_STREAM).then_some(n_records);
-                    self.header = Some(FtbHeader {
-                        version,
-                        n_threads,
-                        n_vars,
-                        n_locks,
-                        n_records,
-                    });
-                    self.remaining = n_records;
-                    self.phase = if flags & FLAG_VAR_OBJECTS != 0 {
+                    let (header, has_var_objects) = parse_header(&header)?;
+                    self.remaining = header.n_records;
+                    self.ids = IdBounds::declared(header.n_vars, header.n_locks);
+                    self.phase = if has_var_objects {
                         Phase::VarObjects {
-                            n_vars: n_vars as usize,
+                            n_vars: header.n_vars as usize,
                         }
                     } else {
                         Phase::Records
                     };
+                    self.header = Some(header);
                 }
                 Phase::VarObjects { n_vars } => {
                     let Some(bytes) = self.take(n_vars * 4) else {
@@ -214,23 +192,7 @@ impl FtbDecoder {
                     let arg = u32::from_le_bytes(rec[4..8].try_into().expect("4"));
 
                     if let Some((members, expected)) = self.barrier.as_mut() {
-                        if kind != opcode::BARRIER_CONT {
-                            return Err(format_err(format!(
-                                "expected barrier continuation, found opcode {kind}"
-                            )));
-                        }
-                        let in_rec = rec[1] as usize;
-                        if in_rec == 0 || in_rec > 2 || members.len() + in_rec > *expected {
-                            return Err(format_err(
-                                "barrier continuation member count out of range",
-                            ));
-                        }
-                        members.push(Tid::new(arg));
-                        if in_rec == 2 {
-                            members.push(Tid::new(u32::from_le_bytes(
-                                rec[8..12].try_into().expect("4"),
-                            )));
-                        }
+                        push_barrier_members(&rec, members, *expected)?;
                         if members.len() == *expected {
                             let (members, _) = self.barrier.take().expect("in-progress barrier");
                             self.events += 1;
@@ -239,20 +201,10 @@ impl FtbDecoder {
                         continue;
                     }
 
-                    let t = Tid::new(tid);
+                    if kind < opcode::BARRIER {
+                        self.ids.admit(kind, tid, arg).map_err(format_err)?;
+                    }
                     let op = match kind {
-                        opcode::READ => Op::Read(t, VarId::new(arg)),
-                        opcode::WRITE => Op::Write(t, VarId::new(arg)),
-                        opcode::ACQUIRE => Op::Acquire(t, LockId::new(arg)),
-                        opcode::RELEASE => Op::Release(t, LockId::new(arg)),
-                        opcode::FORK => Op::Fork(t, Tid::new(arg)),
-                        opcode::JOIN => Op::Join(t, Tid::new(arg)),
-                        opcode::VOLATILE_READ => Op::VolatileRead(t, VarId::new(arg)),
-                        opcode::VOLATILE_WRITE => Op::VolatileWrite(t, VarId::new(arg)),
-                        opcode::WAIT => Op::Wait(t, LockId::new(arg)),
-                        opcode::NOTIFY => Op::Notify(t, LockId::new(arg)),
-                        opcode::ATOMIC_BEGIN => Op::AtomicBegin(t),
-                        opcode::ATOMIC_END => Op::AtomicEnd(t),
                         opcode::BARRIER => {
                             let count = arg as usize;
                             if count == 0 {
@@ -267,7 +219,8 @@ impl FtbDecoder {
                         opcode::BARRIER_CONT => {
                             return Err(format_err("orphan barrier continuation record"));
                         }
-                        k => return Err(format_err(format!("unknown opcode {k}"))),
+                        k => Op::from_parts(k, Tid::new(tid), arg)
+                            .ok_or_else(|| format_err(format!("unknown opcode {k}")))?,
                     };
                     self.events += 1;
                     return Ok(Some(op));
@@ -309,6 +262,7 @@ impl FtbDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::VarId;
     use crate::ftb::FtbWriter;
     use crate::gen::{self, GenConfig};
     use crate::trace::validate;

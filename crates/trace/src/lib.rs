@@ -52,6 +52,7 @@ mod ftb_push;
 pub mod gen;
 mod hb;
 mod hb_def;
+mod ids;
 pub mod json;
 pub mod rng;
 mod serial;

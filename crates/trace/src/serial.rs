@@ -14,7 +14,7 @@
 use crate::builder::FeasibilityError;
 use crate::event::Op;
 use crate::json::{self, JsonValue};
-use crate::trace::{validate, Trace};
+use crate::trace::{validate_declared, Trace};
 use ft_clock::Tid;
 use ft_obs::JsonWriter;
 use std::error::Error;
@@ -226,10 +226,11 @@ impl Trace {
             .map(parse_op)
             .collect::<Result<Vec<_>, _>>()?;
         // Optional metadata; absent fields default like serde's `#[serde(default)]`.
-        let n_threads = match doc.get("n_threads") {
-            Some(v) => u32_of(v, "n_threads")?,
-            None => 0,
+        let declared = |key: &str| match doc.get(key) {
+            Some(v) => u32_of(v, key),
+            None => Ok(0),
         };
+        let n_threads = declared("n_threads")?;
         let var_objects = match doc.get("var_objects") {
             Some(v) => v
                 .as_array()
@@ -240,7 +241,7 @@ impl Trace {
             None => Vec::new(),
         };
 
-        let mut trace = validate(&events)?;
+        let mut trace = validate_declared(&events, declared("n_vars")?, declared("n_locks")?)?;
         // Preserve declared metadata when it extends what the events imply.
         trace.n_threads = trace.n_threads.max(n_threads);
         if !var_objects.is_empty() {
@@ -261,6 +262,7 @@ mod tests {
     use super::*;
     use crate::builder::TraceBuilder;
     use crate::event::{LockId, VarId};
+    use crate::trace::validate;
     use ft_clock::Tid;
 
     #[test]

@@ -115,7 +115,17 @@ impl<'a> IntoIterator for &'a Trace {
 /// Returns the first [`FeasibilityError`] encountered, annotated with the
 /// offending event index.
 pub fn validate(events: &[Op]) -> Result<Trace, FeasibilityError> {
-    let mut b = TraceBuilder::new();
+    validate_declared(events, 0, 0)
+}
+
+/// [`validate`] with id admission starting from a declared variable and
+/// lock space (a deserialized trace's header or metadata).
+pub(crate) fn validate_declared(
+    events: &[Op],
+    n_vars: u32,
+    n_locks: u32,
+) -> Result<Trace, FeasibilityError> {
+    let mut b = TraceBuilder::with_declared_ids(n_vars, n_locks);
     for op in events {
         b.push(op.clone())?;
     }

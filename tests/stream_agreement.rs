@@ -12,9 +12,12 @@
 //!    warnings, same statistics, same rule breakdown.
 
 use fasttrack::{Detector, FastTrack};
+use ft_detectors::Djit;
 use ft_runtime::analyze_stream;
+use ft_sampler::Sampler;
+use ft_trace::batch::opcode;
 use ft_trace::gen::{self, GenConfig};
-use ft_trace::{FtbReader, Trace, VarId};
+use ft_trace::{FtbReader, FtbWriter, Trace, VarId};
 use ft_workloads::Scale;
 
 /// The trace zoo: every seed yields structurally different traces from
@@ -104,4 +107,45 @@ fn truncated_and_corrupt_streams_error_instead_of_lying() {
     let mut future = bytes;
     future[4] = 0xfe;
     assert!(FtbReader::new(&future[..]).is_err());
+
+    // One record with an id no table can be sized for: the decoder rejects
+    // it before any detector grows a table by it, and no load panics.
+    let record = |kind: u8, tid: u16, arg: u32| {
+        let mut ftb = FtbWriter::new(Vec::new(), 1, 0, 0)
+            .expect("header")
+            .finish()
+            .expect("flush");
+        ftb.extend_from_slice(&[kind, 0]);
+        ftb.extend_from_slice(&tid.to_le_bytes());
+        ftb.extend_from_slice(&arg.to_le_bytes());
+        ftb.extend_from_slice(&[0; 4]);
+        ftb
+    };
+    let hostile = [
+        ("fork(T0, u32::MAX)", record(opcode::FORK, 0, u32::MAX)),
+        ("acq(T0, m=u32::MAX)", record(opcode::ACQUIRE, 0, u32::MAX)),
+        ("rel(T0, m=u32::MAX)", record(opcode::RELEASE, 0, u32::MAX)),
+        (
+            "vwr(T0, v=u32::MAX)",
+            record(opcode::VOLATILE_WRITE, 0, u32::MAX),
+        ),
+        ("wr(T65535, x=0)", record(opcode::WRITE, u16::MAX, 0)),
+        ("wr(T0, x=u32::MAX)", record(opcode::WRITE, 0, u32::MAX)),
+    ];
+    for (label, ftb) in &hostile {
+        let tools: [Box<dyn Detector>; 3] = [
+            Box::new(FastTrack::new()),
+            Box::new(Sampler::new()),
+            Box::new(Djit::new()),
+        ];
+        for mut tool in tools {
+            let result =
+                FtbReader::new(&ftb[..]).and_then(|mut r| analyze_stream(&mut r, &mut *tool));
+            assert!(result.is_err(), "{label}: {} analyzed it", tool.name());
+        }
+        assert!(
+            Trace::from_ftb(ftb).is_err(),
+            "{label}: Trace::from_ftb loaded it"
+        );
+    }
 }

@@ -1,8 +1,8 @@
 //! Property suite pinning the sync-path fast lane to the happens-before
 //! oracle. The fast lane is pure bookkeeping — versioned lock clocks,
 //! release-epoch acquire hits, the barrier epoch-rebuild, and the
-//! sampler's lazy epoch-only sync summary must never change what a
-//! detector reports. Every trace below is checked against
+//! one `SyncEngine` every happens-before detector shares must never change
+//! what a detector reports. Every trace below is checked against
 //! [`HbOracle`], which keeps the full vector clock at every access:
 //!
 //! * each FastTrack warning's `provenance.thread_clock` is the oracle's
@@ -12,7 +12,9 @@
 //!   first race on that variable, and its warned variables are exactly
 //!   the oracle's race variables;
 //! * at full admission the sampler's warnings carry the oracle's clock
-//!   too, and its warned variables are a subset of the oracle's.
+//!   too, and its warned variables are a subset of the oracle's;
+//! * DJIT⁺ and BasicVC, which run the same sync engine under their own
+//!   access rules, warn on exactly the oracle's race variables.
 //!
 //! The populations are roughly a thousand generated traces tuned to be
 //! synchronization-dense (1-access critical sections, frequent barriers
@@ -20,14 +22,16 @@
 //! exercised constantly, plus the five sync-heaviest Table 1 programs and
 //! a fixed regression trace touching every synchronization operation kind.
 //!
-//! The suite also asserts the fast lane actually fires: a population this
-//! sync-dense that reports a ~0% hit rate means the fast path was silently
-//! disabled, which the oracle checks alone would never catch.
+//! The suite also asserts the fast lane actually fires, for FastTrack and
+//! for each baseline: a population this sync-dense that reports a ~0% hit
+//! rate means the fast path was silently disabled, which the oracle checks
+//! alone would never catch.
 
 use std::collections::BTreeMap;
 
 use fasttrack_suite::clock::Tid;
-use fasttrack_suite::core::{Detector, FastTrack, Warning};
+use fasttrack_suite::core::{Detector, FastTrack, Stats, Warning};
+use fasttrack_suite::detectors::{BasicVc, Djit};
 use fasttrack_suite::trace::gen::{self, GenConfig};
 use fasttrack_suite::trace::{HbOracle, LockId, Op, OracleReport, Trace, TraceBuilder, VarId};
 use fasttrack_suite::workloads::{build, Scale};
@@ -143,18 +147,55 @@ fn assert_sampler_within_oracle(trace: &Trace, report: &OracleReport, label: &st
     }
 }
 
+/// DJIT⁺ and BasicVC against the oracle: their warned variables are
+/// exactly the oracle's race variables. Adds each one's fast-lane counters
+/// to `tally` (DJIT⁺ first).
+fn assert_vc_baselines_match_oracle(
+    trace: &Trace,
+    report: &OracleReport,
+    label: &str,
+    tally: &mut [Stats; 2],
+) {
+    let tools: [Box<dyn Detector>; 2] = [Box::new(Djit::new()), Box::new(BasicVc::new())];
+    for (mut tool, sum) in tools.into_iter().zip(tally.iter_mut()) {
+        tool.run(trace);
+        assert_eq!(
+            warned_vars(tool.warnings()),
+            report.race_vars(),
+            "{label}: {} warned variables differ from the oracle's race variables",
+            tool.name()
+        );
+        sum.sync_fastpath_hits += tool.stats().sync_fastpath_hits;
+        sum.sync_slow_joins += tool.stats().sync_slow_joins;
+    }
+}
+
+/// The population-level floor: more than a tenth of the classified sync
+/// joins must take the fast lane.
+fn assert_fast_lane_fires(name: &str, stats: &Stats) {
+    let (hits, slow) = (stats.sync_fastpath_hits, stats.sync_slow_joins);
+    let rate = hits as f64 / (hits + slow).max(1) as f64;
+    assert!(
+        rate > 0.10,
+        "{name}: sync fast lane barely fires on a sync-dense population: \
+         {hits} hits / {slow} slow joins ({:.1}%)",
+        rate * 100.0
+    );
+}
+
 /// ~800 sync-dense traces (racy, race-free, chaotic and wide shapes) plus
 /// the five sync-heaviest Table 1 programs pinning FastTrack to the
 /// oracle, plus the population-level hit-rate floor.
 #[test]
 fn fasttrack_matches_oracle_on_sync_dense_population() {
-    let mut hits = 0u64;
-    let mut slow = 0u64;
+    let mut ft_tally = Stats::new();
+    let mut vc_tally = [Stats::new(), Stats::new()];
     let mut check = |trace: &Trace, label: String| {
         let report = HbOracle::analyze(trace);
         let ft = assert_fasttrack_matches_oracle(trace, &report, &label);
-        hits += ft.stats().sync_fastpath_hits;
-        slow += ft.stats().sync_slow_joins;
+        ft_tally.sync_fastpath_hits += ft.stats().sync_fastpath_hits;
+        ft_tally.sync_slow_joins += ft.stats().sync_slow_joins;
+        assert_vc_baselines_match_oracle(trace, &report, &label, &mut vc_tally);
         report
     };
     for seed in 0..200u64 {
@@ -184,17 +225,13 @@ fn fasttrack_matches_oracle_on_sync_dense_population() {
         let report = check(&trace, name.to_string());
         assert_sampler_within_oracle(&trace, &report, name);
     }
-    let rate = hits as f64 / (hits + slow).max(1) as f64;
-    assert!(
-        rate > 0.10,
-        "sync fast lane barely fires on a sync-dense population: \
-         {hits} hits / {slow} slow joins ({:.1}%)",
-        rate * 100.0
-    );
+    assert_fast_lane_fires("FASTTRACK", &ft_tally);
+    assert_fast_lane_fires("DJIT+", &vc_tally[0]);
+    assert_fast_lane_fires("BASICVC", &vc_tally[1]);
 }
 
-/// ~200 sync-dense traces pinning the sampler's lazy epoch-only sync
-/// summary to the oracle at full admission.
+/// ~200 sync-dense traces pinning the sampler to the oracle at full
+/// admission.
 #[test]
 fn sampler_matches_oracle_on_sync_dense_population() {
     for seed in 0..100u64 {
@@ -214,6 +251,7 @@ fn sampler_matches_oracle_on_sync_dense_population() {
 #[test]
 fn barrier_heavy_population_agrees_and_rebuild_fires() {
     let mut rebuild_capable_hits = 0u64;
+    let mut vc_tally = [Stats::new(), Stats::new()];
     for seed in 0..100u64 {
         let cfg = GenConfig {
             threads: 8,
@@ -230,9 +268,13 @@ fn barrier_heavy_population_agrees_and_rebuild_fires() {
         };
         let trace = gen::generate(&cfg, 90_000 + seed);
         let label = format!("barrier seed {seed}");
-        let ft = assert_fasttrack_matches_oracle(&trace, &HbOracle::analyze(&trace), &label);
+        let report = HbOracle::analyze(&trace);
+        let ft = assert_fasttrack_matches_oracle(&trace, &report, &label);
         rebuild_capable_hits += ft.stats().sync_fastpath_hits;
+        assert_vc_baselines_match_oracle(&trace, &report, &label, &mut vc_tally);
     }
+    assert_fast_lane_fires("DJIT+", &vc_tally[0]);
+    assert_fast_lane_fires("BASICVC", &vc_tally[1]);
     assert!(
         rebuild_capable_hits > 0,
         "no fast-path hits across the barrier-heavy population"
